@@ -341,13 +341,13 @@ BENCHMARK(BM_ArtifactLoad)->Arg(100)->Unit(benchmark::kMicrosecond);
 /// Verify-once-then-trust vs the legacy deep walk: loading a checksummed
 /// artifact verifies three section hashes (O(bytes), sequential, SIMD-
 /// friendly) and skips the O(n_nodes) structural walk; a checksum-less
-/// v2 file must still walk every tree. range(0): 0 = checksummed,
+/// file must still walk every tree. range(0): 0 = checksummed,
 /// 1 = checksum-less. Uses the deep HPC forest so the walk has real work.
 void BM_ArtifactLoadChecksum(benchmark::State& state) {
   const BigForest& forest = big_forest();
   std::filesystem::create_directories("bench_results");
   const std::string path = "bench_results/bm_artifact_checksum.hmdf";
-  core::save_model(forest.hmd, path, core::kModelFormatVersion,
+  core::save_model(forest.hmd, path,
                    /*section_checksums=*/state.range(0) == 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::load_model(path, 1));
@@ -359,21 +359,16 @@ BENCHMARK(BM_ArtifactLoadChecksum)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-/// Map-and-serve: a v2 artifact loaded zero-copy (mmap) and immediately
-/// asked for its first batch — the serving cold-start this PR optimises.
-/// range(0) picks the mode: 0 = mmap v2, 1 = full-copy v2 read, 2 = v1
-/// stream load (the pre-zero-copy baseline the acceptance bar compares
-/// against).
+/// Map-and-serve: an artifact loaded zero-copy (mmap) and immediately
+/// asked for its first batch — the serving cold start. range(0) picks the
+/// mode: 0 = mmap, 1 = full-copy read.
 void BM_ArtifactLoadMmap(benchmark::State& state) {
   const BigForest& forest = big_forest();
   std::filesystem::create_directories("bench_results");
   const std::string path = "bench_results/bm_artifact_mmap.hmdf";
-  const long variant = state.range(0);
-  core::save_model(forest.hmd, path,
-                   variant == 2 ? core::kModelFormatV1
-                                : core::kModelFormatVersion);
+  core::save_model(forest.hmd, path);
   const auto mode =
-      variant == 0 ? core::LoadMode::kMmap : core::LoadMode::kStream;
+      state.range(0) == 0 ? core::LoadMode::kMmap : core::LoadMode::kStream;
   const auto& x = forest.bundle.test.X;
   for (auto _ : state) {
     const core::TrustedHmd served = core::load_model(path, 1, mode);
@@ -386,7 +381,6 @@ void BM_ArtifactLoadMmap(benchmark::State& state) {
 BENCHMARK(BM_ArtifactLoadMmap)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EnsembleFit(benchmark::State& state) {
@@ -638,26 +632,22 @@ ArtifactTiming measure_artifact(int members) {
   return timing;
 }
 
-/// Zero-copy vs full-copy artifact residency: load alone and
-/// load-plus-first-batch (map-and-serve) for the v2 mmap path, the v2
-/// full-read path, and the v1 stream baseline. Measured over repeated
-/// calls (items_per_sec inverted) — single-shot sub-millisecond timings
-/// are too noisy for PR-over-PR tracking.
+/// Zero-copy vs full-copy artifact residency: load alone for the mmap and
+/// full-read paths, and load-plus-first-batch (map-and-serve) for the
+/// mmap path. Measured over repeated calls (items_per_sec inverted) —
+/// single-shot sub-millisecond timings are too noisy for PR-over-PR
+/// tracking.
 struct ArtifactMmapTiming {
   double v2_mmap_load_ms = 0.0;
   double v2_read_load_ms = 0.0;
-  double v1_stream_load_ms = 0.0;
   double v2_mmap_serve_ms = 0.0;  ///< load + first detect_batch
-  double v1_stream_serve_ms = 0.0;
 };
 
 ArtifactMmapTiming measure_artifact_mmap() {
   const BigForest& forest = big_forest();
   std::filesystem::create_directories("bench_results");
   const std::string v2_path = "bench_results/latency_mmap_probe_v2.hmdf";
-  const std::string v1_path = "bench_results/latency_mmap_probe_v1.hmdf";
   core::save_model(forest.hmd, v2_path);
-  core::save_model(forest.hmd, v1_path, core::kModelFormatV1);
   const auto& x = forest.bundle.test.X;
 
   const auto ms_per_call = [](auto&& call) {
@@ -672,20 +662,12 @@ ArtifactMmapTiming measure_artifact_mmap() {
     benchmark::DoNotOptimize(
         core::load_model(v2_path, 1, core::LoadMode::kStream));
   });
-  timing.v1_stream_load_ms = ms_per_call([&] {
-    benchmark::DoNotOptimize(core::load_model(v1_path, 1));
-  });
   timing.v2_mmap_serve_ms = ms_per_call([&] {
     const core::TrustedHmd served =
         core::load_model(v2_path, 1, core::LoadMode::kMmap);
     benchmark::DoNotOptimize(served.detect_batch(x));
   });
-  timing.v1_stream_serve_ms = ms_per_call([&] {
-    const core::TrustedHmd served = core::load_model(v1_path, 1);
-    benchmark::DoNotOptimize(served.detect_batch(x));
-  });
   std::filesystem::remove(v2_path);
-  std::filesystem::remove(v1_path);
   return timing;
 }
 
@@ -715,8 +697,7 @@ ArtifactChecksumTiming measure_artifact_checksum() {
     benchmark::DoNotOptimize(core::load_model(path, 1));
   });
   timing.plain_save_ms = ms_per_call([&] {
-    core::save_model(forest.hmd, path, core::kModelFormatVersion,
-                     /*section_checksums=*/false);
+    core::save_model(forest.hmd, path, /*section_checksums=*/false);
   });
   timing.walk_load_ms = ms_per_call([&] {
     benchmark::DoNotOptimize(core::load_model(path, 1));
@@ -985,8 +966,6 @@ std::vector<AccuracyTierRow> measure_accuracy_tier_series() {
 }
 
 struct CacheTiming {
-  double csv_save_ms = 0.0;
-  double csv_load_ms = 0.0;
   double binary_save_ms = 0.0;
   double binary_load_ms = 0.0;
 };
@@ -994,10 +973,6 @@ struct CacheTiming {
 CacheTiming measure_cache(const std::string& stem) {
   CacheTiming timing;
   const auto& probe = bundle();
-  timing.csv_save_ms = time_ms([&] { data::save_bundle_csv(probe, stem); });
-  timing.csv_load_ms = time_ms([&] {
-    benchmark::DoNotOptimize(data::load_bundle_csv("probe", stem));
-  });
   timing.binary_save_ms = time_ms([&] { data::save_bundle(probe, stem); });
   timing.binary_load_ms = time_ms([&] {
     benchmark::DoNotOptimize(data::load_bundle("probe", stem));
@@ -1034,10 +1009,7 @@ void write_summary_json(const char* path) {
   std::filesystem::create_directories(probe_dir);
   const std::string stem = probe_dir + "/latency_cache_probe";
   const CacheTiming cache = measure_cache(stem);
-  for (const char* suffix :
-       {".hmdb", "_train.csv", "_test.csv", "_unknown.csv"}) {
-    std::filesystem::remove(stem + suffix);
-  }
+  std::filesystem::remove(data::bundle_path(stem));
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -1045,7 +1017,7 @@ void write_summary_json(const char* path) {
     return;
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_latency\",\n");
-  std::fprintf(out, "  \"schema_version\": 8,\n");
+  std::fprintf(out, "  \"schema_version\": 9,\n");
   std::fprintf(out, "  \"n_train\": %zu,\n  \"n_test\": %zu,\n",
                bundle().train.size(), bundle().test.size());
   std::fprintf(out, "  \"hardware_threads\": %u,\n",
@@ -1141,28 +1113,14 @@ void write_summary_json(const char* path) {
   std::fprintf(out,
                "  \"artifact_mmap\": {\"members\": 100, "
                "\"v2_mmap_load_ms\": %.4f, \"v2_read_load_ms\": %.4f, "
-               "\"v1_stream_load_ms\": %.4f,\n   "
-               "\"v2_mmap_load_first_batch_ms\": %.4f, "
-               "\"v1_stream_load_first_batch_ms\": %.4f,\n   "
-               "\"speedup_mmap_vs_v1_load\": %.2f, "
-               "\"speedup_map_serve_vs_v1_serve\": %.2f, "
-               "\"map_serve_beats_v1_load\": %s},\n",
+               "\"v2_mmap_load_first_batch_ms\": %.4f},\n",
                mmap.v2_mmap_load_ms, mmap.v2_read_load_ms,
-               mmap.v1_stream_load_ms, mmap.v2_mmap_serve_ms,
-               mmap.v1_stream_serve_ms,
-               mmap.v1_stream_load_ms / mmap.v2_mmap_load_ms,
-               mmap.v1_stream_serve_ms / mmap.v2_mmap_serve_ms,
-               mmap.v2_mmap_serve_ms < mmap.v1_stream_load_ms ? "true"
-                                                              : "false");
+               mmap.v2_mmap_serve_ms);
   std::fprintf(stderr,
-               "[bench_latency] RF M=100 artifact load: v1 stream %.3f ms "
-               "| v2 read %.3f ms | v2 mmap %.3f ms (%.1fx vs v1); "
-               "map-and-serve-first-batch %.3f ms vs v1 load-and-serve "
-               "%.3f ms\n",
-               mmap.v1_stream_load_ms, mmap.v2_read_load_ms,
-               mmap.v2_mmap_load_ms,
-               mmap.v1_stream_load_ms / mmap.v2_mmap_load_ms,
-               mmap.v2_mmap_serve_ms, mmap.v1_stream_serve_ms);
+               "[bench_latency] RF M=100 artifact load: read %.3f ms | "
+               "mmap %.3f ms; map-and-serve-first-batch %.3f ms\n",
+               mmap.v2_read_load_ms, mmap.v2_mmap_load_ms,
+               mmap.v2_mmap_serve_ms);
   std::fprintf(out,
                "  \"artifact_checksum_ms\": {\"members\": 100, "
                "\"checksum_load\": %.4f, \"walk_load\": %.4f, "
@@ -1281,18 +1239,15 @@ void write_summary_json(const char* path) {
   }
   std::fprintf(out, "  ]},\n");
   std::fprintf(out,
-               "  \"bundle_cache_ms\": {\"csv_save\": %.3f, \"csv_load\": "
-               "%.3f, \"binary_save\": %.3f, \"binary_load\": %.3f, "
-               "\"load_speedup_binary_vs_csv\": %.1f}\n",
-               cache.csv_save_ms, cache.csv_load_ms, cache.binary_save_ms,
-               cache.binary_load_ms, cache.csv_load_ms / cache.binary_load_ms);
+               "  \"bundle_cache_ms\": {\"binary_save\": %.3f, "
+               "\"binary_load\": %.3f}\n",
+               cache.binary_save_ms, cache.binary_load_ms);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::fprintf(stderr,
-               "[bench_latency] bundle cache load: csv %.3f ms -> binary "
-               "%.3f ms (%.1fx)\n[bench_latency] summary written to %s\n",
-               cache.csv_load_ms, cache.binary_load_ms,
-               cache.csv_load_ms / cache.binary_load_ms, path);
+               "[bench_latency] bundle cache load: %.3f ms\n"
+               "[bench_latency] summary written to %s\n",
+               cache.binary_load_ms, path);
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
 }
 
 /// The residency ledger's idea of a detector's footprint: the flat
-/// engine's arena (which for a v2 mmap load *is* the mapped artifact
+/// engine's arena (which for an mmap load *is* the mapped artifact
 /// payload). Floor of 1 so even an exotic zero-reporting detector stays
 /// visible to the eviction accounting.
 std::size_t resident_footprint(const core::TrustedHmd& detector) {

@@ -8,10 +8,10 @@
 // corrupt one.
 //
 // Two layers live here:
-//   - write_pod/read_pod/write_span/read_span/write_vec/read_vec stream
-//     helpers (the v1 artifact + dataset-cache path), and
+//   - write_pod/read_pod/write_span/read_span stream helpers (the
+//     dataset-cache path), and
 //   - AlignedWriter / ByteReader, the offset-tracking pair behind the
-//     `.hmdf` v2 layout: the writer pads sections and arrays to explicit
+//     `.hmdf` layout: the writer pads sections and arrays to explicit
 //     alignment boundaries, the reader hands out *views into the buffer*
 //     (bounds- and alignment-checked) instead of copying, so a mapped
 //     artifact is parsed in place.
@@ -25,7 +25,6 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "common/checksum.h"
 #include "common/error.h"
@@ -83,31 +82,8 @@ void read_span(std::istream& in, T* data, std::size_t n,
   if (!in) throw short_read_error(in, n * sizeof(T), context);
 }
 
-template <typename T>
-void write_vec(std::ostream& out, const std::vector<T>& values) {
-  write_pod(out, static_cast<std::uint64_t>(values.size()));
-  write_span(out, values.data(), values.size());
-}
-
-/// Read a u64-prefixed vector; `max_elems` bounds the allocation so a
-/// corrupt length field cannot trigger an absurd resize.
-template <typename T>
-void read_vec(std::istream& in, std::vector<T>& values,
-              const std::string& context,
-              std::uint64_t max_elems = std::uint64_t{1} << 32) {
-  std::uint64_t n = 0;
-  read_pod(in, n, context);
-  if (n > max_elems) {
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "implausible element count " + std::to_string(n) +
-                        " (max " + std::to_string(max_elems) + ")");
-  }
-  values.resize(n);
-  read_span(in, values.data(), values.size(), context);
-}
-
 /// Stream wrapper that tracks the absolute file offset of every write and
-/// can pad to alignment boundaries — the writer half of the `.hmdf` v2
+/// can pad to alignment boundaries — the writer half of the `.hmdf`
 /// layout, whose big arrays must land on 64-byte file offsets so a mapped
 /// artifact can serve them in place.
 class AlignedWriter {
@@ -172,7 +148,7 @@ class AlignedWriter {
 };
 
 /// Bounds- and alignment-checked cursor over an in-memory artifact. The
-/// reader half of the v2 layout: view_span() returns a pointer *into the
+/// reader half of the `.hmdf` layout: view_span() returns a pointer *into the
 /// buffer* (no copy) after checking that the span is inside the buffer
 /// and naturally aligned — a corrupt section offset throws IoError, never
 /// a misaligned or out-of-bounds load. `context` names the file in

@@ -100,9 +100,15 @@ ArtifactBuffer ArtifactBuffer::read_file(const std::string& path) {
                     std::string("cannot open: ") + std::strerror(errno));
   }
   struct ::stat st = {};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+  if (::fstat(fd, &st) != 0) {
     close_quietly(fd);
-    throw LoadError(LoadErrorCode::kIo, path, "cannot stat or empty file");
+    throw LoadError(LoadErrorCode::kIo, path,
+                    std::string("cannot stat: ") + std::strerror(errno));
+  }
+  if (st.st_size <= 0) {
+    close_quietly(fd);
+    throw LoadError(LoadErrorCode::kTruncated, path,
+                    "empty file (no artifact is 0 bytes)");
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   ArtifactBuffer buffer;
@@ -129,7 +135,8 @@ ArtifactBuffer ArtifactBuffer::read_file(const std::string& path) {
 ArtifactBuffer ArtifactBuffer::map_or_read(const std::string& path) {
   try {
     return map_file(path);
-  } catch (const IoError&) {
+  } catch (const LoadError& error) {
+    if (error.code() != LoadErrorCode::kMmapFailed) throw;
     return read_file(path);
   }
 }

@@ -132,17 +132,7 @@ void FlatForestEngine::derive_stumps() {
   }
 }
 
-void FlatForestEngine::save_blob(std::ostream& out) const {
-  io::write_pod(out, static_cast<std::uint64_t>(n_features_));
-  io::write_pod(out, static_cast<std::uint64_t>(nodes_.size()));
-  io::write_span(out, nodes_.data(), nodes_.size());
-  io::write_pod(out, static_cast<std::uint64_t>(leaf_entropy_.size()));
-  io::write_span(out, leaf_entropy_.data(), leaf_entropy_.size());
-  io::write_pod(out, static_cast<std::uint64_t>(roots_.size()));
-  io::write_span(out, roots_.data(), roots_.size());
-}
-
-void FlatForestEngine::save_blob_v2(io::AlignedWriter& out) const {
+void FlatForestEngine::save_blob(io::AlignedWriter& out) const {
   // Counts first, then each array on a 64-byte file offset — the arena
   // and its side tables are served straight out of the mapping.
   out.write_pod(static_cast<std::uint64_t>(n_features_));
@@ -158,10 +148,9 @@ void FlatForestEngine::save_blob_v2(io::AlignedWriter& out) const {
 
 namespace {
 
-/// Geometry caps shared by both load paths. 2^26 16-byte nodes is a 1 GiB
-/// model, far above any real ensemble — a corrupt length field must
-/// throw, not trigger an OOM-sized allocation (v1) or an absurd view
-/// (v2, where ByteReader's bounds check would also catch it).
+/// Geometry caps at load. 2^26 16-byte nodes is a 1 GiB model, far above
+/// any real ensemble — a corrupt length field must throw, not produce an
+/// absurd view (ByteReader's bounds check would also catch it).
 constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 26;
 constexpr std::uint64_t kMaxFeatures = std::uint64_t{1} << 24;
 
@@ -198,28 +187,6 @@ void FlatForestEngine::validate_geometry(const std::string& context,
       throw LoadError(LoadErrorCode::kBadStructure, context,
                       "out-of-arena root index");
   }
-}
-
-std::unique_ptr<FlatForestEngine> FlatForestEngine::load_blob(
-    std::istream& in, const std::string& context) {
-  auto flat = std::make_unique<FlatForestEngine>();
-  std::uint64_t n_features = 0;
-  io::read_pod(in, n_features, context);
-  if (n_features == 0 || n_features > kMaxFeatures)
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "implausible flat-forest feature width " +
-                        std::to_string(n_features));
-  flat->n_features_ = static_cast<std::size_t>(n_features);
-  io::read_vec(in, flat->nodes_storage_, context, kMaxNodes);
-  io::read_vec(in, flat->leaf_entropy_storage_, context,
-               flat->nodes_storage_.size());
-  io::read_vec(in, flat->roots_storage_, context,
-               flat->nodes_storage_.size());
-  flat->adopt_storage();
-  flat->validate_geometry(context, /*deep=*/true);
-  flat->derive_stumps();
-  flat->select_kernels();
-  return flat;
 }
 
 std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(

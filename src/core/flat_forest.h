@@ -35,14 +35,14 @@
 // reference ml::Bagging path (asserted by the parity test suite).
 //
 // Serialisation: the arena, leaf entropies and roots are the whole model —
-// save_blob() streams them and load_blob() rebuilds the engine (the stump
+// save_blob() writes them and from_buffer() rebuilds the engine (the stump
 // table is re-derived from the arena), so a serving process reconstructs
 // inference without any training objects.
 //
 // Storage is view-based: the hot-path arrays (node arena, leaf entropies,
-// roots) are std::spans. A training-built or v1-stream-loaded engine
-// points them at its own vectors; an engine built from a `.hmdf` v2
-// ArtifactBuffer (from_buffer) points them straight into the mapped file
+// roots) are std::spans. A training-built engine points them at its own
+// vectors; an engine built from a `.hmdf` ArtifactBuffer (from_buffer)
+// points them straight into the mapped file
 // — zero copies, residency paid in page faults actually touched — and
 // holds a shared_ptr keepalive so the mapping outlives the engine. The
 // stump table is always re-derived at load; it is never serialised.
@@ -60,7 +60,6 @@
 // (score() lowering, the StatsMask contract) is backend-blind.
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -87,20 +86,14 @@ class FlatForestEngine final : public InferenceEngine {
   static std::unique_ptr<FlatForestEngine> compile(
       const ml::Bagging& ensemble);
 
-  /// Reconstruct an engine from a save_blob() payload; `context` names the
-  /// source file in errors. Throws IoError on truncation or implausible
-  /// geometry. The engine owns its storage (the v1 stream path).
-  static std::unique_ptr<FlatForestEngine> load_blob(
-      std::istream& in, const std::string& context);
-
-  /// Reconstruct an engine from a `.hmdf` v2 save_blob_v2() payload,
-  /// viewing the arena / entropies / roots *in place* inside `keepalive`'s
-  /// buffer (no copies; the engine pins the buffer). Bit-identical outputs
-  /// to the stream path. `deep_validate=false` skips the O(n_nodes)
-  /// structural walk of the arena (keeping the O(n_trees) root checks) —
-  /// only valid when the caller has already proven the bytes intact, i.e.
-  /// the artifact's section checksums verified (model_artifact.h's
-  /// verify-once-then-trust contract).
+  /// Reconstruct an engine from a `.hmdf` save_blob() payload, viewing
+  /// the arena / entropies / roots *in place* inside `keepalive`'s buffer
+  /// (no copies; the engine pins the buffer). Throws LoadError on
+  /// truncation or implausible geometry. `deep_validate=false` skips the
+  /// O(n_nodes) structural walk of the arena (keeping the O(n_trees) root
+  /// checks) — only valid when the caller has already proven the bytes
+  /// intact, i.e. the artifact's section checksums verified
+  /// (model_artifact.h's verify-once-then-trust contract).
   static std::unique_ptr<FlatForestEngine> from_buffer(
       io::ByteReader& in,
       std::shared_ptr<const io::ArtifactBuffer> keepalive,
@@ -115,8 +108,7 @@ class FlatForestEngine final : public InferenceEngine {
   void stats_batch(const Matrix& x, ThreadPool* pool,
                    std::vector<EnsembleStats>& out,
                    StatsMask mask) const override;
-  void save_blob(std::ostream& out) const override;
-  void save_blob_v2(io::AlignedWriter& out) const override;
+  void save_blob(io::AlignedWriter& out) const override;
   bool zero_copy() const override {
     return buffer_ != nullptr && buffer_->mapped();
   }
@@ -179,10 +171,10 @@ class FlatForestEngine final : public InferenceEngine {
   void derive_stumps();
 
   /// Point the hot-path spans at the engine-owned storage vectors (the
-  /// training / v1-stream ownership mode).
+  /// training ownership mode).
   void adopt_storage();
 
-  /// Structural validation shared by both load paths: feature indices
+  /// Structural validation of a loaded arena: feature indices
   /// stay inside the input row and child links point strictly forward, so
   /// a corrupt arena can never be *traversed* wrong (and every walk
   /// terminates). `deep=false` keeps only the O(1) consistency and
@@ -216,13 +208,13 @@ class FlatForestEngine final : public InferenceEngine {
 
   /// Fill the dispatch table — interpreted rows, then, when the JIT is
   /// enabled and compilation succeeds, the native rows. Called once by
-  /// every construction path (compile / load_blob / from_buffer), which
+  /// every construction path (compile / from_buffer), which
   /// on the registry path runs under the per-entry load mutex: at most
   /// one compile per load, off the registry-wide lock.
   void select_kernels();
 
-  // Hot-path views. Either into the storage vectors below (training /
-  // v1 stream load) or straight into buffer_'s mapped bytes (v2 load).
+  // Hot-path views. Either into the storage vectors below (training) or
+  // straight into buffer_'s mapped bytes (artifact load).
   std::span<const Node> nodes_;
   /// Per-slot binary entropy of the leaf P(class 1); meaningful (and read)
   /// only at leaves, kept out of the Node record to halve traversal reads.

@@ -120,23 +120,11 @@ void FlatLinearEngine::rebuild_transpose() {
   weights_t_ = weights_t_storage_;
 }
 
-void FlatLinearEngine::save_blob(std::ostream& out) const {
-  io::write_pod(out, static_cast<std::uint8_t>(kind_));
-  io::write_pod(out, static_cast<std::uint64_t>(n_members_));
-  io::write_pod(out, static_cast<std::uint64_t>(n_features_));
-  io::write_span(out, weights_.data(), weights_.size());
-  io::write_span(out, bias_.data(), bias_.size());
-  io::write_span(out, platt_a_.data(), platt_a_.size());
-  io::write_span(out, platt_b_.data(), platt_b_.size());
-  io::write_span(out, means_.data(), means_.size());
-  io::write_span(out, scales_.data(), scales_.size());
-}
-
-void FlatLinearEngine::save_blob_v2(io::AlignedWriter& out) const {
+void FlatLinearEngine::save_blob(io::AlignedWriter& out) const {
   // Counts first, then every array on a 64-byte file offset. The
   // feature-major transpose is serialised too — it is derived data (like
   // the forest's leaf entropies), but carrying it on disk lets the batch
-  // kernel's exact layout map in place, so a v2 load does no O(M·d)
+  // kernel's exact layout map in place, so a load does no O(M·d)
   // rebuild at all.
   out.write_pod(static_cast<std::uint8_t>(kind_));
   out.write_pod(static_cast<std::uint64_t>(n_members_));
@@ -146,40 +134,6 @@ void FlatLinearEngine::save_blob_v2(io::AlignedWriter& out) const {
     out.pad_to(64);
     out.write_span(array.data(), array.size());
   }
-}
-
-std::unique_ptr<FlatLinearEngine> FlatLinearEngine::load_blob(
-    std::istream& in, const std::string& context) {
-  auto engine = std::make_unique<FlatLinearEngine>();
-  std::uint8_t kind = 0;
-  std::uint64_t n_members = 0, d = 0;
-  io::read_pod(in, kind, context);
-  io::read_pod(in, n_members, context);
-  io::read_pod(in, d, context);
-  if (kind > static_cast<std::uint8_t>(MemberKind::kSvm))
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "unknown linear member kind");
-  if (n_members == 0 || d == 0 || n_members > (1u << 24) || d > (1u << 24))
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "implausible linear-engine geometry");
-  engine->kind_ = static_cast<MemberKind>(kind);
-  engine->n_members_ = static_cast<std::size_t>(n_members);
-  engine->n_features_ = static_cast<std::size_t>(d);
-  engine->weights_storage_.resize(engine->n_members_ * engine->n_features_);
-  engine->bias_storage_.resize(engine->n_members_);
-  engine->platt_a_storage_.resize(engine->n_members_);
-  engine->platt_b_storage_.resize(engine->n_members_);
-  engine->means_storage_.resize(engine->n_features_);
-  engine->scales_storage_.resize(engine->n_features_);
-  for (std::vector<double>* array :
-       {&engine->weights_storage_, &engine->bias_storage_,
-        &engine->platt_a_storage_, &engine->platt_b_storage_,
-        &engine->means_storage_, &engine->scales_storage_}) {
-    io::read_span(in, array->data(), array->size(), context);
-  }
-  engine->adopt_storage();
-  engine->rebuild_transpose();
-  return engine;
 }
 
 std::unique_ptr<FlatLinearEngine> FlatLinearEngine::from_buffer(

@@ -15,11 +15,10 @@
 // Every engine serialises itself into the `.hmdf` model artifact
 // (core/model_artifact.h): `engine_id()` tags the blob on disk and
 // `save_blob()` writes it; the artifact loader dispatches on the tag to
-// the matching engine's load routine, reconstructing a serving-only
+// the matching engine's from_buffer(), reconstructing a serving-only
 // detector with no ml::Bagging (and no training code) on the path.
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -123,14 +122,10 @@ class InferenceEngine {
                            StatsMask mask) const = 0;
 
   /// Serialise the engine payload (everything after the artifact's
-  /// engine-id tag) to `out` in the v1 stream layout.
-  virtual void save_blob(std::ostream& out) const = 0;
-
-  /// Serialise the engine payload in the `.hmdf` v2 layout: counts first,
-  /// then every large array padded to a 64-byte file offset so a mapped
-  /// artifact serves it in place (see core/model_artifact.h for the
-  /// on-disk contract).
-  virtual void save_blob_v2(io::AlignedWriter& out) const = 0;
+  /// engine-id tag): counts first, then every large array padded to a
+  /// 64-byte file offset so a mapped artifact serves it in place (see
+  /// core/model_artifact.h for the on-disk contract).
+  virtual void save_blob(io::AlignedWriter& out) const = 0;
 
   /// True when the hot-path arrays are non-owning views into a *mapped*
   /// artifact (residency = pages actually touched). Engines viewing a

@@ -29,25 +29,20 @@ constexpr std::size_t kSectionAlignment = 64;
 const char* const kSectionNames[kSectionCount] = {"config", "scaler",
                                                  "engine"};
 
-/// Pre-checksum v2 table entry (flags bit 0 clear): 16 bytes.
+/// One section-table entry. A checksummed table (flags bit 0 set) stores
+/// all 24 bytes; a checksum-less one stores only {offset, size}.
 struct SectionEntry {
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-};
-
-/// Checksummed v2 table entry (flags bit 0 set): 24 bytes.
-struct ChecksumSectionEntry {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
   std::uint64_t checksum = 0;
 };
-static_assert(sizeof(ChecksumSectionEntry) == 24,
+static_assert(sizeof(SectionEntry) == 24,
               "table entries are streamed raw");
 
 /// Byte offset of the header hash in a checksummed artifact: right after
 /// the 24-byte-entry table. The hash covers bytes [0, kHeaderHashOffset).
 constexpr std::uint64_t kHeaderHashOffset =
-    kSectionTableOffset + kSectionCount * sizeof(ChecksumSectionEntry);
+    kSectionTableOffset + kSectionCount * sizeof(SectionEntry);
 /// Total header region of a checksummed artifact (hash included).
 constexpr std::uint64_t kChecksumHeaderBytes = kHeaderHashOffset + 8;
 
@@ -56,39 +51,6 @@ std::string hex_u64(std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "0x%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
-}
-
-/// Read and validate the 8-byte magic+version prefix, throwing the typed
-/// error that names what is actually wrong (not-an-artifact vs
-/// future-version vs too-short-to-tell).
-std::uint32_t read_header_version(std::istream& in, const std::string& path) {
-  char magic[4] = {};
-  std::uint32_t version = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) {
-    throw LoadError(LoadErrorCode::kTruncated, path,
-                    "file shorter than the 8-byte artifact header");
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw LoadError(LoadErrorCode::kBadMagic, path,
-                    "bad magic (not a .hmdf artifact)");
-  }
-  if (version != kModelFormatV1 && version != kModelFormatVersion) {
-    throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "unsupported format version " + std::to_string(version) +
-                        " (expected " + std::to_string(kModelFormatV1) +
-                        " or " + std::to_string(kModelFormatVersion) + ")");
-  }
-  return version;
-}
-
-bool header_matches(std::istream& in, std::uint32_t& version) {
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  return in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0 &&
-         (version == kModelFormatV1 || version == kModelFormatVersion);
 }
 
 /// fsync the file (or directory) at `path`; throws IoError on failure so
@@ -109,34 +71,17 @@ void fsync_path(const std::string& path, bool directory) {
   }
 }
 
-// Config codec shared by the v1 stream and v2 buffer paths: one field
-// list, two byte sources, so the layouts cannot drift apart. `Source`
-// provides read_pod<T>() (io::ByteReader does; StreamSource adapts an
-// istream).
-
-struct StreamSource {
-  std::istream& in;
-  const std::string& context;
-  template <typename T>
-  T read_pod() {
-    T value;
-    io::read_pod(in, value, context);
-    return value;
-  }
-};
-
-template <typename Source>
-HmdConfig read_config(Source& in, const std::string& path, int n_threads,
-                      double& converged_fraction) {
+HmdConfig read_config(io::ByteReader& in, const std::string& path,
+                      int n_threads, double& converged_fraction) {
   HmdConfig config;
-  const auto model_kind = in.template read_pod<std::uint32_t>();
-  const auto n_members = in.template read_pod<std::int32_t>();
-  const auto mode = in.template read_pod<std::uint32_t>();
-  config.entropy_threshold = in.template read_pod<double>();
-  config.seed = in.template read_pod<std::uint64_t>();
-  const auto min_leaf = in.template read_pod<std::int32_t>();
-  const auto max_depth = in.template read_pod<std::int32_t>();
-  converged_fraction = in.template read_pod<double>();
+  const auto model_kind = in.read_pod<std::uint32_t>();
+  const auto n_members = in.read_pod<std::int32_t>();
+  const auto mode = in.read_pod<std::uint32_t>();
+  config.entropy_threshold = in.read_pod<double>();
+  config.seed = in.read_pod<std::uint64_t>();
+  const auto min_leaf = in.read_pod<std::int32_t>();
+  const auto max_depth = in.read_pod<std::int32_t>();
+  converged_fraction = in.read_pod<double>();
   if (model_kind > static_cast<std::uint32_t>(ModelKind::kBaggedSvm))
     throw LoadError(LoadErrorCode::kBadStructure, path,
                     "unknown model kind " + std::to_string(model_kind));
@@ -167,38 +112,15 @@ void write_config(io::AlignedWriter& out, const HmdConfig& config,
   out.write_pod(converged_fraction);
 }
 
-/// The v1 layout, byte for byte what every pre-v2 reader expects.
-void save_model_v1(std::ostream& out, const UntrustedHmd& hmd) {
-  const InferenceEngine& engine = hmd.engine();
-  const HmdConfig& config = hmd.config();
-  out.write(kMagic, sizeof(kMagic));
-  io::write_pod(out, kModelFormatV1);
-
-  io::AlignedWriter writer(out);  // v1 never pads; used for the one codec
-  write_config(writer, config, hmd.converged_fraction());
-
-  const ml::StandardScaler& scaler = hmd.input_scaler();
-  const std::uint8_t has_scaler = scaler.fitted() ? 1 : 0;
-  io::write_pod(out, has_scaler);
-  if (has_scaler) {
-    io::write_pod(out, static_cast<std::uint64_t>(scaler.means().size()));
-    io::write_span(out, scaler.means().data(), scaler.means().size());
-    io::write_span(out, scaler.scales().data(), scaler.scales().size());
-  }
-
-  io::write_pod(out, static_cast<std::uint32_t>(engine.engine_id()));
-  engine.save_blob(out);
-}
-
-/// The v2 zero-copy layout (contract in model_artifact.h): header +
+/// The zero-copy layout (contract in model_artifact.h): header +
 /// section table, then 64-byte-aligned config / scaler / engine sections.
 /// Offsets, sizes, and checksums are patched in once known. Section
 /// hashes are computed *in-stream* by the AlignedWriter as the bytes go
 /// out (begin_hash/end_hash around each section), so the checksummed save
 /// never re-reads the temp file — one write pass, one seekp to patch the
 /// finished header.
-void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
-                   bool section_checksums) {
+void write_artifact(std::ostream& out, const UntrustedHmd& hmd,
+                    bool section_checksums) {
   const InferenceEngine& engine = hmd.engine();
   io::AlignedWriter writer(out);
   writer.write_span(kMagic, sizeof(kMagic));
@@ -208,12 +130,12 @@ void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
                                      : std::uint32_t{0});
   // Placeholder section table (and, when checksummed, header hash),
   // patched below once offsets are known.
-  ChecksumSectionEntry sections[kSectionCount] = {};
+  SectionEntry sections[kSectionCount] = {};
   if (section_checksums) {
     writer.write_span(sections, kSectionCount);
     writer.write_pod(std::uint64_t{0});  // header hash placeholder
   } else {
-    for (const ChecksumSectionEntry& entry : sections) {
+    for (const SectionEntry& entry : sections) {
       writer.write_pod(entry.offset);
       writer.write_pod(entry.size);
     }
@@ -222,12 +144,12 @@ void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
   // Pad to the section boundary *before* begin_hash so the hash covers
   // exactly [entry.offset, entry.offset + entry.size) — the same bytes
   // the load-path verifier sweeps.
-  const auto begin_section = [&](ChecksumSectionEntry& entry) {
+  const auto begin_section = [&](SectionEntry& entry) {
     writer.pad_to(kSectionAlignment);
     entry.offset = writer.offset();
     if (section_checksums) writer.begin_hash();
   };
-  const auto end_section = [&](ChecksumSectionEntry& entry) {
+  const auto end_section = [&](SectionEntry& entry) {
     entry.size = writer.offset() - entry.offset;
     if (section_checksums) entry.checksum = writer.end_hash();
   };
@@ -251,7 +173,7 @@ void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
 
   begin_section(sections[2]);
   writer.write_pod(static_cast<std::uint32_t>(engine.engine_id()));
-  engine.save_blob_v2(writer);
+  engine.save_blob(writer);
   end_section(sections[2]);
 
   out.seekp(static_cast<std::streamoff>(kSectionTableOffset));
@@ -275,33 +197,39 @@ void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
               static_cast<std::streamsize>(kChecksumHeaderBytes -
                                            kSectionTableOffset));
   } else {
-    for (const ChecksumSectionEntry& entry : sections) {
+    for (const SectionEntry& entry : sections) {
       out.write(reinterpret_cast<const char*>(&entry.offset), 8);
       out.write(reinterpret_cast<const char*>(&entry.size), 8);
     }
   }
 }
 
-/// Parse a v2 artifact in place over `buffer` (mapped or heap-read; the
-/// engines keep views into it either way). Checksummed artifacts are
-/// verified here — header hash, then every section hash — *before* any
-/// payload parsing, and then parsed with the deep structural walk
-/// skipped (the verify-once-then-trust contract in model_artifact.h).
-TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
-                         const std::string& path, int n_threads) {
-  io::ByteReader in(buffer->data(), buffer->size(), path);
-  // Re-check magic and version from the buffer itself: the caller's
-  // stream peek and this mapping are two opens, and a file swapped in
-  // between must be rejected, not misparsed.
-  char magic[4];
-  std::memcpy(magic, in.view_span<char>(4), 4);
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw LoadError(LoadErrorCode::kBadMagic, path,
-                    "bad magic (file replaced mid-load?)");
+/// The one parser of an artifact's fixed header and section table,
+/// shared by load_model and inspect_model: magic, version, section count,
+/// flags, the table, and every section inside the file. `verify` adds the
+/// integrity sweep that only load_model runs (inspect_model must still
+/// describe damaged files): the header hash, checked before the bounds
+/// because it vouches for the table they read, and then every section
+/// hash.
+ArtifactInfo parse_header(const io::ArtifactBuffer& buffer,
+                          const std::string& path, bool verify) {
+  if (buffer.size() < 8) {
+    throw LoadError(LoadErrorCode::kTruncated, path,
+                    "file shorter than the 8-byte artifact header");
   }
-  if (in.read_pod<std::uint32_t>() != kModelFormatVersion) {
+  io::ByteReader in(buffer.data(), buffer.size(), path);
+  if (std::memcmp(in.view_span<char>(sizeof(kMagic)), kMagic,
+                  sizeof(kMagic)) != 0) {
+    throw LoadError(LoadErrorCode::kBadMagic, path,
+                    "bad magic (not a .hmdf artifact)");
+  }
+  ArtifactInfo info;
+  info.version = in.read_pod<std::uint32_t>();
+  if (info.version != kModelFormatVersion) {
     throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "version mismatch (file replaced mid-load?)");
+                    "unsupported format version " +
+                        std::to_string(info.version) + " (expected " +
+                        std::to_string(kModelFormatVersion) + ")");
   }
   const auto section_count = in.read_pod<std::uint32_t>();
   const auto flags = in.read_pod<std::uint32_t>();
@@ -314,60 +242,71 @@ TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
                     "unknown header flags " + hex_u64(flags) +
                         " (written by a newer version?)");
   }
-  const bool checksummed = (flags & kArtifactFlagSectionChecksums) != 0;
-
-  ChecksumSectionEntry sections[kSectionCount];
-  for (ChecksumSectionEntry& entry : sections) {
-    entry.offset = in.read_pod<std::uint64_t>();
-    entry.size = in.read_pod<std::uint64_t>();
-    entry.checksum = checksummed ? in.read_pod<std::uint64_t>() : 0;
-  }
-  if (checksummed) {
-    // Header hash first: it vouches for the table the section hashes are
-    // about to be read through, so a flipped bit in a stored offset/size/
-    // checksum is caught here rather than surfacing as a bounds error.
-    const auto stored = in.read_pod<std::uint64_t>();
-    const std::uint64_t actual =
-        io::xxhash64(buffer->data(), kHeaderHashOffset);
-    if (actual != stored) {
-      throw LoadError(LoadErrorCode::kChecksum, path,
-                      "header checksum mismatch (expected " +
-                          hex_u64(stored) + ", got " + hex_u64(actual) + ")");
-    }
-  }
+  info.section_checksums = (flags & kArtifactFlagSectionChecksums) != 0;
+  info.file_bytes = buffer.size();
+  info.sections.resize(kSectionCount);
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    const ChecksumSectionEntry& entry = sections[i];
-    if (entry.offset + entry.size < entry.offset ||  // u64 overflow
-        entry.offset + entry.size > buffer->size()) {
-      throw LoadError(LoadErrorCode::kTruncated, path,
-                      "section '" + std::string(kSectionNames[i]) +
-                          "' ends at byte " +
-                          std::to_string(entry.offset + entry.size) +
-                          ", past end of file (" +
-                          std::to_string(buffer->size()) + " bytes)");
+    ArtifactSectionInfo& section = info.sections[i];
+    section.name = kSectionNames[i];
+    section.offset = in.read_pod<std::uint64_t>();
+    section.size = in.read_pod<std::uint64_t>();
+    if (info.section_checksums) section.checksum = in.read_pod<std::uint64_t>();
+  }
+  if (info.section_checksums) {
+    const auto stored = in.read_pod<std::uint64_t>();
+    if (verify) {
+      const std::uint64_t actual =
+          io::xxhash64(buffer.data(), kHeaderHashOffset);
+      if (actual != stored) {
+        throw LoadError(LoadErrorCode::kChecksum, path,
+                        "header checksum mismatch (expected " +
+                            hex_u64(stored) + ", got " + hex_u64(actual) +
+                            ")");
+      }
     }
   }
-  if (checksummed) {
-    for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-      const ChecksumSectionEntry& entry = sections[i];
+  for (const ArtifactSectionInfo& section : info.sections) {
+    if (section.offset + section.size < section.offset ||  // u64 overflow
+        section.offset + section.size > info.file_bytes) {
+      throw LoadError(LoadErrorCode::kTruncated, path,
+                      "section '" + section.name + "' ends at byte " +
+                          std::to_string(section.offset + section.size) +
+                          ", past end of file (" +
+                          std::to_string(info.file_bytes) + " bytes)");
+    }
+  }
+  if (verify && info.section_checksums) {
+    for (const ArtifactSectionInfo& section : info.sections) {
       const std::uint64_t actual =
-          io::xxhash64(buffer->data() + entry.offset,
-                       static_cast<std::size_t>(entry.size));
-      if (actual != entry.checksum) {
+          io::xxhash64(buffer.data() + section.offset,
+                       static_cast<std::size_t>(section.size));
+      if (actual != section.checksum) {
         throw LoadError(LoadErrorCode::kChecksum, path,
-                        "section '" + std::string(kSectionNames[i]) +
+                        "section '" + section.name +
                             "' checksum mismatch (expected " +
-                            hex_u64(entry.checksum) + ", got " +
+                            hex_u64(section.checksum) + ", got " +
                             hex_u64(actual) + ")");
       }
     }
   }
+  return info;
+}
 
-  in.seek(sections[0].offset, kSectionAlignment);
+/// Parse an artifact in place over `buffer` (mapped or heap-read; the
+/// engines keep views into it either way). Checksummed artifacts are
+/// verified by parse_header *before* any payload parsing, and then parsed
+/// with the deep structural walk skipped (the verify-once-then-trust
+/// contract in model_artifact.h).
+TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
+                          const std::string& path, int n_threads) {
+  const ArtifactInfo info = parse_header(*buffer, path, /*verify=*/true);
+  io::ByteReader in(buffer->data(), buffer->size(), path);
+
+  in.seek(info.sections[0].offset, kSectionAlignment);
   double converged_fraction = 1.0;
   HmdConfig config = read_config(in, path, n_threads, converged_fraction);
 
-  in.seek(sections[1].offset, kSectionAlignment);
+  in.seek(info.sections[1].offset, kSectionAlignment);
   ml::StandardScaler scaler;
   if (in.read_pod<std::uint8_t>() != 0) {
     const auto d = in.read_pod<std::uint64_t>();
@@ -386,13 +325,13 @@ TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
         std::vector<double>(scales, scales + d));
   }
 
-  in.seek(sections[2].offset, kSectionAlignment);
+  in.seek(info.sections[2].offset, kSectionAlignment);
   const auto engine_id = in.read_pod<std::uint32_t>();
   std::unique_ptr<InferenceEngine> engine;
   switch (static_cast<EngineId>(engine_id)) {
     case EngineId::kFlatForest:
-      engine = FlatForestEngine::from_buffer(in, buffer,
-                                             /*deep_validate=*/!checksummed);
+      engine = FlatForestEngine::from_buffer(
+          in, buffer, /*deep_validate=*/!info.section_checksums);
       break;
     case EngineId::kFlatLinear:
       engine = FlatLinearEngine::from_buffer(in, buffer);
@@ -406,65 +345,12 @@ TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
                     converged_fraction);
 }
 
-TrustedHmd load_model_v1(std::istream& in, const std::string& path,
-                         int n_threads) {
-  StreamSource source{in, path};
-  double converged_fraction = 1.0;
-  HmdConfig config = read_config(source, path, n_threads, converged_fraction);
-
-  ml::StandardScaler scaler;
-  std::uint8_t has_scaler = 0;
-  io::read_pod(in, has_scaler, path);
-  if (has_scaler) {
-    std::uint64_t d = 0;
-    io::read_pod(in, d, path);
-    if (d == 0 || d > (1u << 24))
-      throw LoadError(LoadErrorCode::kBadStructure, path,
-                      "implausible scaler width " + std::to_string(d));
-    std::vector<double> means(d), scales(d);
-    io::read_span(in, means.data(), means.size(), path);
-    io::read_span(in, scales.data(), scales.size(), path);
-    scaler = ml::StandardScaler::from_moments(std::move(means),
-                                              std::move(scales));
-  }
-
-  std::uint32_t engine_id = 0;
-  io::read_pod(in, engine_id, path);
-  std::unique_ptr<InferenceEngine> engine;
-  switch (static_cast<EngineId>(engine_id)) {
-    case EngineId::kFlatForest:
-      engine = FlatForestEngine::load_blob(in, path);
-      break;
-    case EngineId::kFlatLinear:
-      engine = FlatLinearEngine::load_blob(in, path);
-      break;
-    default:
-      throw LoadError(LoadErrorCode::kBadStructure, path,
-                      "unknown engine id " + std::to_string(engine_id));
-  }
-
-  return TrustedHmd(std::move(config), std::move(engine), std::move(scaler),
-                    converged_fraction);
-}
-
 }  // namespace
 
-std::string model_path(const std::string& stem) { return stem + ".hmdf"; }
-
-bool model_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::uint32_t version = 0;
-  return header_matches(in, version);
-}
-
 void save_model(const UntrustedHmd& hmd, const std::string& path,
-                std::uint32_t format_version, bool section_checksums) {
+                bool section_checksums) {
   HMD_REQUIRE(hmd.uses_flat_engine(),
               "save_model: detector has no compiled engine");
-  HMD_REQUIRE(format_version == kModelFormatV1 ||
-                  format_version == kModelFormatVersion,
-              "save_model: unsupported format version");
 
   const std::filesystem::path fs_path(path);
   if (fs_path.has_parent_path()) {
@@ -478,11 +364,7 @@ void save_model(const UntrustedHmd& hmd, const std::string& path,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("save_model: cannot open " + tmp_path);
-    if (format_version == kModelFormatV1) {
-      save_model_v1(out, hmd);
-    } else {
-      save_model_v2(out, hmd, section_checksums);
-    }
+    write_artifact(out, hmd, section_checksums);
     // Flush explicitly before the stream check: the destructor's implicit
     // flush swallows errors, and a short tail lost to ENOSPC here would
     // otherwise be fsynced and renamed over the good artifact below.
@@ -504,21 +386,7 @@ TrustedHmd load_model(const std::string& path, int n_threads, LoadMode mode) {
   // Armed with error:io (etc.) this simulates the whole artifact tier
   // failing — the seam the registry's retry/quarantine tests drive.
   HMD_FAILPOINT("artifact.load", path.c_str());
-  std::uint32_t version = 0;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw LoadError(LoadErrorCode::kIo, path,
-                      std::string("cannot open artifact: ") +
-                          std::strerror(errno));
-    }
-    version = read_header_version(in, path);
-    if (version == kModelFormatV1) {
-      // v1 predates the aligned layout: always the stream copy path.
-      return load_model_v1(in, path, n_threads);
-    }
-  }
-  auto buffer = std::make_shared<io::ArtifactBuffer>([&] {
+  auto buffer = std::make_shared<const io::ArtifactBuffer>([&] {
     switch (mode) {
       case LoadMode::kMmap:
         return io::ArtifactBuffer::map_file(path);
@@ -529,53 +397,12 @@ TrustedHmd load_model(const std::string& path, int n_threads, LoadMode mode) {
     }
     return io::ArtifactBuffer::map_or_read(path);
   }());
-  return load_model_v2(std::move(buffer), path, n_threads);
+  return parse_artifact(std::move(buffer), path, n_threads);
 }
 
 ArtifactInfo inspect_model(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw LoadError(LoadErrorCode::kIo, path,
-                    std::string("cannot open artifact: ") +
-                        std::strerror(errno));
-  }
-  ArtifactInfo info;
-  info.file_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-  info.version = read_header_version(in, path);
-  if (info.version == kModelFormatV1) return info;  // v1 has no table
-
-  std::uint32_t section_count = 0;
-  std::uint32_t flags = 0;
-  io::read_pod(in, section_count, path);
-  io::read_pod(in, flags, path);
-  if (section_count != kSectionCount) {
-    throw LoadError(LoadErrorCode::kBadStructure, path,
-                    "bad section count " + std::to_string(section_count));
-  }
-  if ((flags & ~kArtifactFlagSectionChecksums) != 0) {
-    throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "unknown header flags " + hex_u64(flags) +
-                        " (written by a newer version?)");
-  }
-  info.section_checksums = (flags & kArtifactFlagSectionChecksums) != 0;
-  for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    ArtifactSectionInfo section;
-    section.name = kSectionNames[i];
-    io::read_pod(in, section.offset, path);
-    io::read_pod(in, section.size, path);
-    if (info.section_checksums) io::read_pod(in, section.checksum, path);
-    if (section.offset + section.size < section.offset ||
-        section.offset + section.size > info.file_bytes) {
-      throw LoadError(LoadErrorCode::kTruncated, path,
-                      "section '" + section.name + "' ends at byte " +
-                          std::to_string(section.offset + section.size) +
-                          ", past end of file (" +
-                          std::to_string(info.file_bytes) + " bytes)");
-    }
-    info.sections.push_back(section);
-  }
-  return info;
+  return parse_header(io::ArtifactBuffer::map_or_read(path), path,
+                      /*verify=*/false);
 }
 
 }  // namespace hmd::core

@@ -15,9 +15,9 @@
 // misread: bundle_exists() returns false for it (so benches regenerate)
 // and load_bundle() throws IoError.
 //
-// The legacy v1 CSV format (`<stem>_{train,test,unknown}.csv`) is kept as
-// save_bundle_csv()/load_bundle_csv() for the load-time comparison bench
-// and migration tests; new caches are always written as v2 binary.
+// This is the only bundle format. Nothing reads the old v1 CSV files
+// (`<stem>_{train,test,unknown}.csv`); a stem that has only those looks
+// absent, so callers rebuild the bundle.
 
 #include <string>
 
@@ -41,10 +41,5 @@ void save_bundle(const DatasetBundle& bundle, const std::string& stem);
 /// Load a binary bundle; throws IoError on missing file, bad magic,
 /// version mismatch or truncation.
 DatasetBundle load_bundle(const std::string& name, const std::string& stem);
-
-/// Legacy CSV writer/reader (v1 format), retained for benchmarks/tests.
-void save_bundle_csv(const DatasetBundle& bundle, const std::string& stem);
-DatasetBundle load_bundle_csv(const std::string& name,
-                              const std::string& stem);
 
 }  // namespace hmd::data

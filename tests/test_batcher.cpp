@@ -48,14 +48,7 @@ struct SinkLog {
 class MicroBatcherTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: the suite must survive ctest -j running sibling
-    // tests in other processes of the same binary.
-    dir_ = std::filesystem::path(
-        "batcher_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("batcher_tmp");
     core::HmdConfig config;
     config.n_members = 7;
     config.n_threads = 1;

@@ -1,6 +1,5 @@
-// Binary dataset-bundle cache: round-trip exactness, stale-cache
-// rejection (bad magic / version mismatch / truncation), and the legacy
-// CSV path the binary format replaced.
+// Binary dataset-bundle cache: round-trip exactness and stale-cache
+// rejection (bad magic / version mismatch / truncation).
 
 #include <gtest/gtest.h>
 
@@ -19,15 +18,7 @@ using namespace hmd;
 class DatasetIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: ctest -j runs sibling tests of this fixture in
-    // separate processes, and a shared directory would let one test's
-    // SetUp delete another's live files.
-    dir_ = std::filesystem::path(
-        "test_io_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("test_io_tmp");
     stem_ = (dir_ / "bundle").string();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -52,14 +43,16 @@ void expect_split_equal(const ml::Dataset& a, const ml::Dataset& b) {
 }
 
 TEST_F(DatasetIoTest, BinaryRoundTripIsExact) {
-  const auto& bundle = test::small_dvfs();
-  data::save_bundle(bundle, stem_);
-  ASSERT_TRUE(data::bundle_exists(stem_));
-  const auto loaded = data::load_bundle(bundle.name, stem_);
-  EXPECT_EQ(loaded.name, bundle.name);
-  expect_split_equal(loaded.train, bundle.train);
-  expect_split_equal(loaded.test, bundle.test);
-  expect_split_equal(loaded.unknown, bundle.unknown);
+  for (const auto* bundle : {&test::small_dvfs(), &test::small_hpc()}) {
+    SCOPED_TRACE(bundle->name);
+    data::save_bundle(*bundle, stem_);
+    ASSERT_TRUE(data::bundle_exists(stem_));
+    const auto loaded = data::load_bundle(bundle->name, stem_);
+    EXPECT_EQ(loaded.name, bundle->name);
+    expect_split_equal(loaded.train, bundle->train);
+    expect_split_equal(loaded.test, bundle->test);
+    expect_split_equal(loaded.unknown, bundle->unknown);
+  }
 }
 
 TEST_F(DatasetIoTest, MissingCacheLooksAbsentAndThrows) {
@@ -92,26 +85,6 @@ TEST_F(DatasetIoTest, TruncatedCacheThrows) {
   EXPECT_TRUE(data::bundle_exists(stem_));
   // ...but loading must fail loudly rather than return half a dataset.
   EXPECT_THROW(data::load_bundle("DVFS", stem_), IoError);
-}
-
-TEST_F(DatasetIoTest, LegacyCsvRoundTripStillWorks) {
-  const auto& bundle = test::small_dvfs();
-  data::save_bundle_csv(bundle, stem_);
-  const auto loaded = data::load_bundle_csv(bundle.name, stem_);
-  expect_split_equal(loaded.train, bundle.train);
-  expect_split_equal(loaded.test, bundle.test);
-  expect_split_equal(loaded.unknown, bundle.unknown);
-}
-
-TEST_F(DatasetIoTest, BinaryAndCsvAgree) {
-  const auto& bundle = test::small_hpc();
-  data::save_bundle(bundle, stem_);
-  data::save_bundle_csv(bundle, stem_);
-  const auto binary = data::load_bundle(bundle.name, stem_);
-  const auto csv = data::load_bundle_csv(bundle.name, stem_);
-  expect_split_equal(binary.train, csv.train);
-  expect_split_equal(binary.test, csv.test);
-  expect_split_equal(binary.unknown, csv.unknown);
 }
 
 }  // namespace

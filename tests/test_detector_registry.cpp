@@ -28,14 +28,7 @@ using core::ModelKind;
 class DetectorRegistryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: the suite must survive ctest -j running sibling
-    // tests in other processes of the same binary.
-    dir_ = std::filesystem::path(
-        "registry_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("registry_tmp");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

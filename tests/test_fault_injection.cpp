@@ -30,31 +30,12 @@ namespace hmd {
 namespace {
 
 using core::ModelKind;
-
-/// Load `path` and return the LoadError code it was rejected with;
-/// fails the test if the load succeeds or throws something untyped.
-LoadErrorCode rejection_code(const std::string& path) {
-  try {
-    core::load_model(path);
-  } catch (const LoadError& error) {
-    return error.code();
-  } catch (const std::exception& error) {
-    ADD_FAILURE() << "untyped rejection: " << error.what();
-    return LoadErrorCode::kIo;
-  }
-  ADD_FAILURE() << "corrupt artifact loaded cleanly: " << path;
-  return LoadErrorCode::kIo;
-}
+using test::rejection_code;
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path(
-        "fault_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("fault_tmp");
     path_ = (dir_ / "detector.hmdf").string();
   }
   void TearDown() override {
@@ -189,15 +170,21 @@ TEST_F(FaultInjectionTest, InspectReportsVerifiableSectionTable) {
 }
 
 TEST_F(FaultInjectionTest, InspectHandlesV1AndChecksumlessFiles) {
-  core::save_model(train(ModelKind::kBaggedLogistic), path_,
-                   core::kModelFormatV1);
-  const core::ArtifactInfo v1 = core::inspect_model(path_);
-  EXPECT_EQ(v1.version, core::kModelFormatV1);
-  EXPECT_FALSE(v1.section_checksums);
-  EXPECT_TRUE(v1.sections.empty());
+  // Rewrite the version to 1 (2 ^ 0b11): inspect_model rejects a v1
+  // header exactly as load_model does — one header parser serves both.
+  core::save_model(train(ModelKind::kBaggedLogistic), path_);
+  flip_bit(path_, 4, 0);
+  flip_bit(path_, 4, 1);
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
+  try {
+    core::inspect_model(path_);
+    ADD_FAILURE() << "v1 header inspected cleanly";
+  } catch (const LoadError& error) {
+    EXPECT_EQ(error.code(), LoadErrorCode::kBadVersion);
+  }
 
   core::save_model(train(ModelKind::kBaggedLogistic), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+                   /*section_checksums=*/false);
   const core::ArtifactInfo legacy = core::inspect_model(path_);
   EXPECT_FALSE(legacy.section_checksums);
   ASSERT_EQ(legacy.sections.size(), 3u);

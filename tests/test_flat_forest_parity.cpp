@@ -205,8 +205,7 @@ void expect_identical_results(const api::ScoreResult& jit,
 /// wrapper mask and every uncertainty mode over `x`.
 void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
                        const std::string& tag) {
-  const std::filesystem::path dir = "jit_parity_tmp_" + tag;
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir("jit_parity_" + tag);
   const std::string path = (dir / "model.hmdf").string();
   core::save_model(trained, path);
 

@@ -7,7 +7,6 @@
 // concurrency cases here are on the TSan CI job's filter list.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -310,17 +309,7 @@ TEST(ShardedKeyMapTest, ConcurrentDistinctKeysNeverSerialise) {
 class FleetRegistryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The pid suffix keeps a parallel ctest schedule safe: the same test
-    // runs both as its discovered entry and inside the labelled
-    // FleetSuite.All aggregate, and two processes running it at once
-    // must not remove_all each other's artifacts.
-    dir_ = std::filesystem::path(
-        "fleet_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-        "_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("fleet_tmp");
   }
   void TearDown() override {
     fail::disarm_all();

@@ -218,10 +218,7 @@ TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {
   // the TSan CI filter).
   const PolicyGuard guard;
   const auto& bundle = test::small_hpc();
-  std::string dir_name = "jit_concurrency_tmp_";
-  dir_name += ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  const std::filesystem::path dir = dir_name;
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir("jit_concurrency");
   core::TrustedHmd trained(rf_config(20));
   trained.fit(bundle.train);
   constexpr int kKeys = 3;

@@ -1,11 +1,11 @@
 // Model artifact (.hmdf): a saved detector must reload as a serving-only
 // detector — no ml::Bagging on the path — emitting bit-identical
 // Detections and Estimates; corrupt, truncated, or version-mismatched
-// artifacts must be rejected loudly, never misread. The v2 zero-copy
+// artifacts must be rejected loudly, never misread — with the same
+// LoadErrorCode whichever LoadMode materialises the bytes. The zero-copy
 // layout adds: mmap-loaded and buffer-read engines are bit-identical to
-// each other and to the trained detector, misaligned or out-of-range
-// section offsets are rejected, and v1 files still load via the stream
-// path.
+// each other and to the trained detector, and misaligned or out-of-range
+// section offsets are rejected.
 
 #include <gtest/gtest.h>
 
@@ -25,15 +25,7 @@ using namespace hmd;
 class ModelArtifactTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: ctest -j runs sibling tests of this fixture in
-    // separate processes, and a shared directory would let one test's
-    // SetUp delete another's live artifact mid-roundtrip.
-    dir_ = std::filesystem::path(
-        "test_model_tmp_" +
-        std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("test_model_tmp");
     path_ = (dir_ / "detector.hmdf").string();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -131,7 +123,6 @@ TEST_F(ModelArtifactTest, RoundTripIsBitIdenticalForEveryModelKind) {
     SCOPED_TRACE(core::model_kind_name(kind));
     const core::TrustedHmd trained = train(kind);
     core::save_model(trained, path_);
-    ASSERT_TRUE(core::model_exists(path_));
 
     const core::TrustedHmd served = core::load_model(path_);
     // The load path reconstructs the engine directly from the blob: no
@@ -167,25 +158,32 @@ TEST_F(ModelArtifactTest, ServingDetectorCannotBeRefit) {
 }
 
 TEST_F(ModelArtifactTest, MissingArtifactLooksAbsentAndThrows) {
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  for (const auto mode : test::kLoadModes) {
+    EXPECT_EQ(test::rejection_code(path_, mode), LoadErrorCode::kIo);
+  }
 }
 
 TEST_F(ModelArtifactTest, BadMagicIsRejectedNotMisread) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
   corrupt_byte(0, 'X');
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  for (const auto mode : test::kLoadModes) {
+    EXPECT_EQ(test::rejection_code(path_, mode), LoadErrorCode::kBadMagic);
+  }
 }
 
 TEST_F(ModelArtifactTest, VersionMismatchIsRejectedNotMisread) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
-  // The u32 version sits right after the 4-byte magic; a future (or
-  // corrupt) version must make the artifact look absent so callers
-  // re-train rather than misread the layout.
-  corrupt_byte(4, static_cast<char>(core::kModelFormatVersion + 1));
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  // The u32 version sits right after the 4-byte magic. A future (or
+  // corrupt) version, and the retired v1 stream layout, must be rejected
+  // rather than misread as the current layout.
+  for (const std::uint32_t version : {core::kModelFormatVersion + 1, 1u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    corrupt_byte(4, static_cast<char>(version));
+    for (const auto mode : test::kLoadModes) {
+      EXPECT_EQ(test::rejection_code(path_, mode),
+                LoadErrorCode::kBadVersion);
+    }
+  }
 }
 
 // The three structural-rejection tests below save with
@@ -196,7 +194,7 @@ TEST_F(ModelArtifactTest, VersionMismatchIsRejectedNotMisread) {
 
 TEST_F(ModelArtifactTest, UnknownEngineTagIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+                   /*section_checksums=*/false);
   // The engine id is the u32 opening the engine section (table entry 2).
   corrupt_byte(section_offset(2), 0x7e);
   EXPECT_THROW(core::load_model(path_), IoError);
@@ -204,7 +202,7 @@ TEST_F(ModelArtifactTest, UnknownEngineTagIsRejected) {
 
 TEST_F(ModelArtifactTest, CorruptForestFeatureWidthIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+                   /*section_checksums=*/false);
   // The forest blob's u64 feature width follows the engine-id u32.
   // Zeroing its low byte makes the width implausible; the loader must
   // throw rather than hand the traversal an arena it could misindex.
@@ -214,7 +212,7 @@ TEST_F(ModelArtifactTest, CorruptForestFeatureWidthIsRejected) {
 
 TEST_F(ModelArtifactTest, MisalignedSectionOffsetIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+                   /*section_checksums=*/false);
   // Nudge the *config* section's table entry off its 64-byte boundary.
   // The config section is followed by alignment padding, so offset+4 and
   // its size stay comfortably in bounds — only the alignment check can
@@ -232,11 +230,10 @@ TEST_F(ModelArtifactTest, MisalignedSectionOffsetIsRejected) {
 TEST_F(ModelArtifactTest, TruncatedSectionTableIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
   // Chop the file inside the section table (16 + 3×16 = 64 bytes): the
-  // header still advertises a v2 artifact, but parsing the table must
+  // header still advertises an artifact, but parsing the table must
   // throw, never read past the mapping.
   for (const std::uintmax_t keep : {60, 40, 17}) {
     std::filesystem::resize_file(path_, keep);
-    EXPECT_TRUE(core::model_exists(path_));
     EXPECT_THROW(core::load_model(path_), IoError) << "kept " << keep;
   }
 }
@@ -293,26 +290,6 @@ TEST_F(ModelArtifactTest, MmapRoundTripsOnHpcBundleToo) {
   }
 }
 
-TEST_F(ModelArtifactTest, V1FallbackRoundTripIsBitIdentical) {
-  // A v1 artifact (the pre-zero-copy stream layout) must still load —
-  // through the stream path, owned storage, same outputs — whatever
-  // LoadMode the caller asks for.
-  for (const auto kind :
-       {core::ModelKind::kRandomForest, core::ModelKind::kBaggedLogistic}) {
-    SCOPED_TRACE(core::model_kind_name(kind));
-    const core::TrustedHmd trained = train(kind);
-    core::save_model(trained, path_, core::kModelFormatV1);
-    ASSERT_TRUE(core::model_exists(path_));
-    for (const auto mode : {core::LoadMode::kAuto, core::LoadMode::kMmap,
-                            core::LoadMode::kStream}) {
-      const core::TrustedHmd served = core::load_model(path_, 0, mode);
-      EXPECT_FALSE(served.engine().zero_copy());
-      expect_bit_identical_outputs(trained, served,
-                                   test::small_dvfs().test.X);
-    }
-  }
-}
-
 TEST_F(ModelArtifactTest, MappedDetectorSurvivesRenamePublishedSwap) {
   // The hot-swap guarantee at the mapping level: a detector serving from
   // a mapped artifact keeps emitting the *old* model's outputs, bit for
@@ -349,22 +326,24 @@ TEST_F(ModelArtifactTest, TruncatedArtifactThrowsEverywhere) {
   for (const auto kind :
        {core::ModelKind::kRandomForest, core::ModelKind::kBaggedLogistic}) {
     SCOPED_TRACE(core::model_kind_name(kind));
-    core::save_model(train(kind, 10), path_);
+    const core::TrustedHmd trained = train(kind, 10);
+    core::save_model(trained, path_);
     const auto full = std::filesystem::file_size(path_);
     // Chop the file at several depths: inside the engine blob, inside the
-    // scaler/config, and just past the header. Every cut must throw.
-    for (const auto keep :
-         {full - 4, full / 2, full / 4, std::uintmax_t{16}}) {
+    // scaler/config, just past the header, inside the 8-byte magic and
+    // version, and to nothing at all. Every cut is kTruncated, whichever
+    // way the bytes are materialised.
+    for (const auto keep : {full - 4, full / 2, full / 4, std::uintmax_t{16},
+                            std::uintmax_t{7}, std::uintmax_t{0}}) {
       std::filesystem::resize_file(path_, keep);
-      EXPECT_TRUE(core::model_exists(path_));  // header still advertises
-      EXPECT_THROW(core::load_model(path_), IoError) << "kept " << keep;
-      core::save_model(train(kind, 10), path_);  // restore for next cut
+      for (const auto mode : test::kLoadModes) {
+        EXPECT_EQ(test::rejection_code(path_, mode),
+                  LoadErrorCode::kTruncated)
+            << "kept " << keep;
+      }
+      core::save_model(trained, path_);  // restore for next cut
     }
   }
-}
-
-TEST_F(ModelArtifactTest, ModelPathAppendsSuffix) {
-  EXPECT_EQ(core::model_path("models/dvfs_rf"), "models/dvfs_rf.hmdf");
 }
 
 }  // namespace

@@ -207,12 +207,7 @@ TEST(ScoreApiTest, SteadyStateReusesBuffers) {
 /// and 4 actually split work. Artifacts pin the trained model so every
 /// width serves the exact same engine.
 TEST(ScoreApiTest, ScoreIsBitIdenticalAcrossThreadWidths) {
-  const std::string dir =
-      "score_api_tmp_" + std::string(::testing::UnitTest::GetInstance()
-                                         ->current_test_info()
-                                         ->name());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::unique_temp_dir("score_api_tmp").string();
 
   for (const auto* bundle : {&test::small_dvfs(), &test::small_hpc()}) {
     Matrix stacked;

@@ -1,11 +1,61 @@
 #pragma once
 // Shared fixtures: small dataset bundles built once per test binary (the
-// simulators are deterministic, so every suite sees identical data).
+// simulators are deterministic, so every suite sees identical data), the
+// per-test scratch directory every file-writing test uses, and the typed
+// artifact-rejection probe.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+
+#include "common/error.h"
+#include "core/model_artifact.h"
 #include "datasets/dvfs_dataset.h"
 #include "datasets/hpc_dataset.h"
 
 namespace hmd::test {
+
+/// A fresh, empty directory private to the running test:
+/// "<tag>_<Suite>_<Test>_<pid>" under the working directory. The test
+/// name keeps tests of one process apart; the pid keeps concurrent
+/// processes apart — ctest -j, repeated runs, and a test that runs in
+/// two processes at once must never remove_all each other's files.
+inline std::filesystem::path unique_temp_dir(const std::string& tag) {
+  std::string name = tag;
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name.append("_").append(info->test_suite_name());
+    name.append("_").append(info->name());
+  }
+  name.append("_").append(std::to_string(::getpid()));
+  const std::filesystem::path dir(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Every way load_model can materialise artifact bytes.
+inline constexpr core::LoadMode kLoadModes[] = {
+    core::LoadMode::kAuto, core::LoadMode::kMmap, core::LoadMode::kStream};
+
+/// Load `path` under `mode` and return the LoadError code it was rejected
+/// with; fails the test if the load succeeds or throws something untyped.
+inline LoadErrorCode rejection_code(
+    const std::string& path, core::LoadMode mode = core::LoadMode::kAuto) {
+  SCOPED_TRACE("load mode " + std::to_string(static_cast<int>(mode)));
+  try {
+    core::load_model(path, 1, mode);
+  } catch (const LoadError& error) {
+    return error.code();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "untyped rejection: " << error.what();
+    return LoadErrorCode::kIo;
+  }
+  ADD_FAILURE() << "corrupt artifact loaded cleanly: " << path;
+  return LoadErrorCode::kIo;
+}
 
 /// Scaled-down DVFS bundle (well-separated classes, mostly stump trees).
 inline const data::DatasetBundle& small_dvfs() {

@@ -343,9 +343,7 @@ TEST(WireTest, LoadErrorTaxonomyMapsIntoWireCodes) {
 class WireSocketTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path("wire_tmp");
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir("wire_tmp");
     core::HmdConfig config;
     config.n_members = 5;
     config.n_threads = 1;

@@ -95,8 +95,7 @@ const core::ArtifactSectionInfo& find_section(const core::ArtifactInfo& info,
   }
   throw LoadError(LoadErrorCode::kBadStructure, path,
                   "no section named '" + name +
-                      "' (v" + std::to_string(info.version) +
-                      " artifact; v1 files have no section table)");
+                      "' (expected config, scaler or engine)");
 }
 
 struct Options {

@@ -37,7 +37,7 @@
 // proof that a process can take a field update mid-traffic.
 //
 // --mmap picks how artifact bytes are materialised: on requires a
-// mapping (v2 artifacts served in place — model residency = pages
+// mapping (artifacts served in place — model residency = pages
 // actually touched), off forces the full-copy read path. Without the
 // flag the mode is auto: map, falling back to a full read if the
 // mapping fails.
