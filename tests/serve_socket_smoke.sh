@@ -3,10 +3,11 @@
 # and ASan+UBSan CI jobs:
 #
 #   1. hmd_train writes two model families into a registry directory,
-#      plus a replacement RF artifact kept outside it as swap material.
+#      plus a replacement artifact kept outside it as swap material.
 #   2. hmd_serve hosts them over TCP (--listen on an ephemeral port,
-#      --refresh-ms=200); the port is parsed from its "listening on"
-#      line.
+#      --refresh-ms=200, default load mode); the port is parsed from its
+#      "listening on" line, and every load line must name its engine,
+#      report zero-copy residency and a kernel backend.
 #   3. hmd_client drives wire-protocol traffic with --verify: every
 #      response must be bit-identical to a direct score() of the same
 #      artifact — for the default detection mask, for the full estimate
@@ -22,13 +23,23 @@
 #      proof the hot-swap landed and in-flight serving never broke.
 #   6. SIGTERM: the server must drain, print its traffic/batcher/served
 #      summaries, and exit 0.
+#   7. Usage errors exit 2: no --listen, or a flag hmd_serve does not take.
+#   8. Restart legs, each with verified traffic and a SIGTERM exit 0:
+#      --mmap=off (load=stream, no zero-copy engines); --mmap=on with
+#      --jit=on and with --jit=off (load=mmap, kernel jit or arena;
+#      prediction-only and estimate masks).
+#   9. A bit-flipped artifact (hmd_faultgen) is skipped at startup with a
+#      typed checksum error while its healthy sibling keeps serving; with
+#      every artifact corrupt, the server exits 3 before it listens.
 #
 # usage: serve_socket_smoke.sh <hmd_train> <hmd_serve> <hmd_client>
+#                              <hmd_faultgen>
 set -euo pipefail
 
 train_bin=$1
 serve_bin=$2
 client_bin=$3
+faultgen_bin=$4
 
 workdir=$(mktemp -d serve_socket_smoke.XXXXXX)
 server_pid=""
@@ -55,22 +66,49 @@ common=(--dataset=dvfs --scale=0.1 --threads=1)
 "$train_bin" "${common[@]}" --model=svm --members=9 \
     --out="$workdir/replacement.artifact"
 
-"$serve_bin" --models="$models" --threads=1 --listen=127.0.0.1:0 \
-    --refresh-ms=200 >"$workdir/server.log" 2>&1 &
-server_pid=$!
+# start_server LOG ARGS...: run hmd_serve in the background and wait for
+# its "listening on" line; sets server_pid and port.
+start_server() {
+  local log=$1
+  shift
+  "$serve_bin" --threads=1 --listen=127.0.0.1:0 "$@" >"$log" 2>&1 &
+  server_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port=$(grep -oP 'listening on 127\.0\.0\.1:\K[0-9]+' "$log" || true)
+    [ -n "$port" ] && break
+    kill -0 "$server_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  [ -n "$port" ] || {
+    echo "FAIL: server never reported its port" >&2
+    cat "$log" >&2
+    exit 1; }
+}
 
-port=""
-for _ in $(seq 1 100); do
-  port=$(grep -oP 'listening on 127\.0\.0\.1:\K[0-9]+' "$workdir/server.log" \
-      || true)
-  [ -n "$port" ] && break
-  kill -0 "$server_pid" 2>/dev/null || break
-  sleep 0.1
-done
-[ -n "$port" ] || {
-  echo "FAIL: server never reported its port" >&2
-  cat "$workdir/server.log" >&2
-  exit 1; }
+# stop_server LOG: SIGTERM must drain the server and exit 0.
+stop_server() {
+  kill -TERM "$server_pid"
+  local rc=0
+  wait "$server_pid" || rc=$?
+  server_pid=""
+  cat "$1"
+  [ "$rc" -eq 0 ] || {
+    echo "FAIL: SIGTERM shutdown must exit 0, got $rc" >&2; exit 1; }
+}
+
+# verify KEY ARTIFACT [CLIENT_ARGS...]: traffic to KEY must be
+# bit-identical to ARTIFACT.
+verify() {
+  local out rc=0
+  out=$("$client_bin" --connect=127.0.0.1:"$port" "${common[@]}" --rows=4 \
+      --model="$1" --requests=50 --verify="$2" "${@:3}") || rc=$?
+  echo "$out"
+  [ "$rc" -eq 0 ] && grep -q "parity   ok" <<<"$out" || {
+    echo "FAIL: $1 traffic not bit-identical to $2 (exit $rc)" >&2; exit 1; }
+}
+
+start_server "$workdir/server.log" --models="$models" --refresh-ms=200
 
 grep -q "serving  2 model(s)" "$workdir/server.log" || {
   echo "FAIL: expected 2 models from the registry" >&2; exit 1; }
@@ -86,6 +124,14 @@ for key in dvfs_RF_M5 dvfs_LR_M5; do
     cat "$workdir/server.log" >&2
     exit 1; }
 done
+# Both families are served, each from its own engine, and the default
+# load mode maps the artifacts: every engine must be zero-copy.
+grep -Eq "^model    dvfs_RF_M5 .*engine flat_forest \(.*zero-copy\)" \
+    "$workdir/server.log" || {
+  echo "FAIL: RF family not served zero-copy" >&2; exit 1; }
+grep -Eq "^model    dvfs_LR_M5 .*engine flat_linear_lr \(.*zero-copy\)" \
+    "$workdir/server.log" || {
+  echo "FAIL: LR family not served zero-copy" >&2; exit 1; }
 
 connect=(--connect=127.0.0.1:"$port" "${common[@]}" --rows=4)
 
@@ -157,6 +203,7 @@ grep -q "parity   ok" <<<"$out" || {
 # Leg 5: publish the replacement over the RF artifact (temp + rename,
 # the atomic-publish idiom) and require a --verify run against the NEW
 # artifact to reach bit-parity within the 200 ms refresh cadence.
+cp "$models/dvfs_RF_M5.hmdf" "$workdir/rf.artifact"
 cp "$workdir/replacement.artifact" "$models/.swap_tmp"
 mv "$models/.swap_tmp" "$models/dvfs_RF_M5.hmdf"
 
@@ -189,13 +236,7 @@ done
   exit 1; }
 
 # Leg 6: SIGTERM -> drain, summaries, exit 0.
-kill -TERM "$server_pid"
-rc=0
-wait "$server_pid" || rc=$?
-server_pid=""
-cat "$workdir/server.log"
-[ "$rc" -eq 0 ] || {
-  echo "FAIL: SIGTERM shutdown must exit 0, got $rc" >&2; exit 1; }
+stop_server "$workdir/server.log"
 grep -q "^traffic  " "$workdir/server.log" || {
   echo "FAIL: missing traffic summary" >&2; exit 1; }
 grep -q "^batcher  " "$workdir/server.log" || {
@@ -229,5 +270,85 @@ grep -Eq "^resident .* across 2 model\(s\)" "$workdir/server.log" || {
   echo "FAIL: missing or malformed residency summary" >&2
   cat "$workdir/server.log" >&2
   exit 1; }
+
+# Leg 7: usage errors exit 2 — serving needs --listen, and flags of the
+# removed in-process driver are rejected, not ignored.
+expect_usage_error() {
+  local rc=0
+  "$serve_bin" "$@" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "FAIL: 'hmd_serve $*' must exit 2, got $rc" >&2; exit 1; }
+}
+expect_usage_error --models="$models"
+expect_usage_error --models="$models" --listen=127.0.0.1:0 --batches=5
+expect_usage_error --models="$models" --listen=127.0.0.1:0 \
+    --swap-with="$workdir/replacement.artifact"
+
+# The restart legs serve the original RF again, so --jit=on has a forest
+# to compile.
+mv "$workdir/rf.artifact" "$models/dvfs_RF_M5.hmdf"
+
+# Leg 8a: --mmap=off serves through the full-copy read path: the server
+# reports load=stream, no engine is zero-copy, and traffic still verifies.
+start_server "$workdir/stream.log" --models="$models" --mmap=off
+grep -q "load=stream" "$workdir/stream.log" || {
+  echo "FAIL: --mmap=off not honoured" >&2; exit 1; }
+if grep "^model " "$workdir/stream.log" | grep -q "zero-copy"; then
+  echo "FAIL: stream path must not produce zero-copy engines" >&2; exit 1
+fi
+verify dvfs_LR_M5 "$models/dvfs_LR_M5.hmdf"
+verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf"
+stop_server "$workdir/stream.log"
+
+# Leg 8b: the explicit mmap path under both JIT policies. --jit=on may
+# still report arena (a build without the JIT, or an engine the JIT does
+# not cover); --jit=off must never report jit. Either way every response
+# stays bit-identical.
+for jit in on off; do
+  log="$workdir/jit_$jit.log"
+  start_server "$log" --models="$models" --mmap=on --jit="$jit"
+  grep -q "load=mmap" "$log" || {
+    echo "FAIL: --mmap=on not honoured" >&2; exit 1; }
+  for key in dvfs_RF_M5 dvfs_LR_M5; do
+    grep -Eq "^model    $key +.*zero-copy\), kernel (jit|arena)," "$log" || {
+      echo "FAIL: --jit=$jit load line for $key" >&2; cat "$log" >&2; exit 1; }
+  done
+  if [ "$jit" = off ] && grep -q "kernel jit" "$log"; then
+    echo "FAIL: --jit=off still compiled a kernel" >&2; exit 1
+  fi
+  verify dvfs_LR_M5 "$models/dvfs_LR_M5.hmdf" --outputs=estimate
+  verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf" --outputs=prediction
+  stop_server "$log"
+done
+
+# Leg 9a: corrupt the RF artifact (one flipped engine bit). The server
+# must skip it with a typed checksum error and keep serving the LR
+# sibling — one bad artifact never takes down a healthy one.
+"$faultgen_bin" bitflip "$models/dvfs_RF_M5.hmdf" --section=engine \
+    --offset=-1 >/dev/null
+start_server "$workdir/corrupt.log" --models="$models"
+grep -q "skipping dvfs_RF_M5: load error \[checksum\]" "$workdir/corrupt.log" || {
+  echo "FAIL: corrupt artifact not rejected with a typed checksum error" >&2
+  cat "$workdir/corrupt.log" >&2
+  exit 1; }
+grep -q "serving  1 model(s)" "$workdir/corrupt.log" || {
+  echo "FAIL: healthy sibling not served past the corrupt artifact" >&2
+  exit 1; }
+verify dvfs_LR_M5 "$models/dvfs_LR_M5.hmdf"
+stop_server "$workdir/corrupt.log"
+
+# Leg 9b: with *every* artifact corrupt there is nothing to serve: exit 3,
+# the load/integrity code, before the server ever listens.
+"$faultgen_bin" bitflip "$models/dvfs_LR_M5.hmdf" --section=scaler \
+    --offset=-1 >/dev/null
+rc=0
+out=$("$serve_bin" --threads=1 --listen=127.0.0.1:0 --models="$models" 2>&1) \
+    || rc=$?
+echo "$out"
+[ "$rc" -eq 3 ] || {
+  echo "FAIL: nothing-servable must exit 3, got $rc" >&2; exit 1; }
+if grep -q "listening on" <<<"$out"; then
+  echo "FAIL: nothing-servable server must not listen" >&2; exit 1
+fi
 
 echo "serve_socket_smoke: OK"
