@@ -32,12 +32,16 @@ struct MeanDecomposition {
 
 MeanDecomposition mean_decomposition(const core::TrustedHmd& hmd,
                                      const Matrix& x) {
+  api::ScoreResult est;
+  hmd.score({.x = &x,
+             .outputs = api::kOutSoftEntropy | api::kOutExpectedEntropy |
+                        api::kOutMutualInformation},
+            est);
   MeanDecomposition out;
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto est = hmd.estimate(x.row(r));
-    out.total += est.soft_entropy;
-    out.aleatoric += est.expected_entropy;
-    out.epistemic += est.mutual_information;
+    out.total += est.soft_entropy[r];
+    out.aleatoric += est.expected_entropy[r];
+    out.epistemic += est.mutual_information[r];
   }
   const auto n = static_cast<double>(x.rows());
   out.total /= n;

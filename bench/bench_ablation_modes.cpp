@@ -19,12 +19,10 @@ using namespace hmd;
 /// Uncertainty = 1 - confidence of the conventional detector.
 std::vector<double> untrusted_uncertainty(const core::UntrustedHmd& hmd,
                                           const Matrix& x) {
-  std::vector<double> out;
-  out.reserve(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out.push_back(1.0 - hmd.detect(x.row(r)).confidence);
-  }
-  return out;
+  api::ScoreResult result;
+  hmd.score({.x = &x, .outputs = api::kOutConfidence}, result);
+  for (double& c : result.confidence) c = 1.0 - c;
+  return std::move(result.confidence);
 }
 
 double rejection_at_budget(const std::vector<double>& known,
@@ -47,9 +45,7 @@ void run_bundle(const data::DatasetBundle& bundle,
         core::UncertaintyMode::kExpectedEntropy,
         core::UncertaintyMode::kVariationRatio,
         core::UncertaintyMode::kMaxProbability}) {
-    core::EntropyDistributions dists;
-    dists.known = hmd.scores(bundle.test.X, mode);
-    dists.unknown = hmd.scores(bundle.unknown.X, mode);
+    const auto dists = core::entropy_distributions(hmd, bundle, mode);
     table.add_row({bundle.name, uncertainty_mode_name(mode) + " (ensemble)",
                    ConsoleTable::fmt(core::ood_auroc(dists), 3),
                    ConsoleTable::fmt(

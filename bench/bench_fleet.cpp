@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "api/detector_registry.h"
+#include "api/score.h"
 #include "bench_common.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -206,19 +207,6 @@ struct FpRow {
   double measured_fp = 0.0;
 };
 
-bool estimates_identical(const std::vector<core::Estimate>& a,
-                         const std::vector<core::Estimate>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].prediction != b[i].prediction ||
-        a[i].votes_malware != b[i].votes_malware ||
-        a[i].score != b[i].score || a[i].soft_entropy != b[i].soft_entropy) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -385,7 +373,11 @@ int main(int argc, char** argv) {
         artifact, path, std::filesystem::copy_options::overwrite_existing);
     copy_keys.emplace_back(name);
   }
-  const auto want = hmd.estimate_batch(bundle.test.X);
+  const api::ScoreRequest estimate{.x = &bundle.test.X,
+                                   .outputs = api::kEstimateOutputs};
+  api::ScoreResult want;
+  api::ScoreResult got;
+  hmd.score(estimate, want);
 
   const std::size_t rss_baseline = rss_kib();
   std::size_t footprint = 0;
@@ -410,9 +402,8 @@ int main(int argc, char** argv) {
         const std::size_t pick = (i * 2654435761ull + pass) % kCopies;
         const auto detector = bounded.get(copy_keys[pick]);
         if (pass == 3 && pick < 4) {
-          parity_ok = parity_ok &&
-                      estimates_identical(
-                          want, detector->estimate_batch(bundle.test.X));
+          detector->score(estimate, got);
+          parity_ok = parity_ok && api::bit_identical(want, got);
         }
       }
     }
@@ -430,9 +421,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < kCopies; ++i) {
       const auto detector = unbounded.get(copy_keys[i]);
       if (i < 4) {
-        parity_ok = parity_ok &&
-                    estimates_identical(
-                        want, detector->estimate_batch(bundle.test.X));
+        detector->score(estimate, got);
+        parity_ok = parity_ok && api::bit_identical(want, got);
       }
     }
     rss_unbounded = rss_kib();

@@ -2,16 +2,17 @@
 //
 // The paper positions the estimator as an *online* component with "minor
 // modifications to the standard pipeline"; this bench quantifies that
-// claim: per-sample detection latency of the conventional detector vs the
-// trusted detector across ensemble sizes, batched throughput through the
-// flat struct-of-arrays engine, the seed's pointer-chasing reference path
-// for comparison, and the cost of the surrounding pipeline stages (SoC
-// simulation and feature extraction).
+// claim: score() throughput of detection- and estimate-shaped requests
+// across ensemble sizes and model families, the pre-engine reference
+// member path for comparison, registry and artifact costs, and the cost
+// of the surrounding pipeline stages (SoC simulation and feature
+// extraction). Every inference row calls score() with one reused
+// ScoreResult, the shape a serving loop has.
 //
-// After the google-benchmark suite runs, main() self-times the per-sample
-// vs batched inference paths and the CSV vs binary bundle cache and writes
-// a machine-readable BENCH_latency.json summary into the working
-// directory, so the perf trajectory is tracked PR-over-PR.
+// After the google-benchmark suite runs, main() self-times the inference,
+// artifact, JIT and accuracy-tier series and writes a machine-readable
+// BENCH_latency.json summary into the working directory, so the perf
+// trajectory is tracked PR-over-PR.
 
 #include <benchmark/benchmark.h>
 
@@ -96,8 +97,8 @@ core::HmdConfig linear_config_for(core::ModelKind kind, int members) {
 
 /// The pre-engine linear batch path, reproduced verbatim: standardise the
 /// whole matrix, then query members one sample at a time and accumulate
-/// with the reference accumulate_stats. This is what detect_batch cost on
-/// LR/SVM models before FlatLinearEngine existed.
+/// with the reference accumulate_stats. This is what a detection batch
+/// cost on LR/SVM models before FlatLinearEngine existed.
 std::vector<core::EnsembleStats> reference_linear_batch(
     const core::UntrustedHmd& hmd, const Matrix& x) {
   const Matrix scaled = hmd.input_scaler().transform(x);
@@ -110,97 +111,34 @@ std::vector<core::EnsembleStats> reference_linear_batch(
   return stats;
 }
 
-void BM_UntrustedDetect(benchmark::State& state) {
-  core::UntrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
-  hmd.fit(bundle().train);
-  std::size_t i = 0;
-  const auto& x = bundle().test.X;
+/// Time score() over `x` under `outputs` with one reused ScoreResult: the
+/// serving shape, whose loop body allocates nothing.
+void run_score(benchmark::State& state, const core::UntrustedHmd& hmd,
+               const Matrix& x, api::OutputMask outputs) {
+  const api::ScoreRequest request{.x = &x, .outputs = outputs};
+  api::ScoreResult result;
+  hmd.score(request, result);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.detect(x.row(i++ % x.rows())));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_UntrustedDetect)->Arg(100);
-
-void BM_TrustedDetect(benchmark::State& state) {
-  core::TrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
-  hmd.fit(bundle().train);
-  std::size_t i = 0;
-  const auto& x = bundle().test.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.detect(x.row(i++ % x.rows())));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TrustedDetect)->Arg(5)->Arg(20)->Arg(50)->Arg(100);
-
-/// The seed's per-sample path: pointer-chasing member-by-member queries
-/// through the reference ml::Bagging ensemble (what detect() cost before
-/// the flat engine existed).
-void BM_TrustedDetectReference(benchmark::State& state) {
-  core::TrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
-  hmd.fit(bundle().train);
-  const core::UncertaintyEstimator reference(
-      core::EnsembleView::of(hmd.ensemble()));
-  const int members = static_cast<int>(state.range(0));
-  std::size_t i = 0;
-  const auto& x = bundle().test.X;
-  for (auto _ : state) {
-    const auto stats = reference.reference_stats(x.row(i++ % x.rows()));
-    benchmark::DoNotOptimize(core::uncertainty_score(
-        core::UncertaintyMode::kVoteEntropy, stats, members, nullptr));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_TrustedDetectReference)->Arg(20)->Arg(100);
-
-void BM_UntrustedDetectBatch(benchmark::State& state) {
-  core::UntrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
-  hmd.fit(bundle().train);
-  const auto& x = bundle().test.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.detect_batch(x));
+    hmd.score(request, result);
+    benchmark::DoNotOptimize(result.prediction.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(x.rows()));
 }
-BENCHMARK(BM_UntrustedDetectBatch)->Arg(20)->Arg(100);
 
 void BM_TrustedDetectBatch(benchmark::State& state) {
   core::TrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
   hmd.fit(bundle().train);
-  const auto& x = bundle().test.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.detect_batch(x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.rows()));
+  run_score(state, hmd, bundle().test.X, api::kDetectionOutputs);
 }
 BENCHMARK(BM_TrustedDetectBatch)->Arg(20)->Arg(100);
 
 void BM_TrustedEstimateBatch(benchmark::State& state) {
   core::TrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
   hmd.fit(bundle().train);
-  const auto& x = bundle().unknown.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.estimate_batch(x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.rows()));
+  run_score(state, hmd, bundle().unknown.X, api::kEstimateOutputs);
 }
 BENCHMARK(BM_TrustedEstimateBatch)->Arg(20)->Arg(100);
-
-void BM_UncertaintyEstimateOnly(benchmark::State& state) {
-  core::TrustedHmd hmd(config_for(static_cast<int>(state.range(0))));
-  hmd.fit(bundle().train);
-  std::size_t i = 0;
-  const auto& x = bundle().unknown.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.estimate(x.row(i++ % x.rows())));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_UncertaintyEstimateOnly)->Arg(20)->Arg(100);
 
 void BM_LinearDetectBatch(benchmark::State& state) {
   const auto kind = state.range(1) == 0 ? core::ModelKind::kBaggedLogistic
@@ -208,12 +146,7 @@ void BM_LinearDetectBatch(benchmark::State& state) {
   core::TrustedHmd hmd(
       linear_config_for(kind, static_cast<int>(state.range(0))));
   hmd.fit(bundle().train);
-  const auto& x = bundle().test.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.detect_batch(x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.rows()));
+  run_score(state, hmd, bundle().test.X, api::kDetectionOutputs);
 }
 BENCHMARK(BM_LinearDetectBatch)
     ->Args({100, 0})
@@ -239,17 +172,12 @@ void BM_LinearEstimateBatch(benchmark::State& state) {
   core::TrustedHmd hmd(linear_config_for(core::ModelKind::kBaggedLogistic,
                                          static_cast<int>(state.range(0))));
   hmd.fit(bundle().train);
-  const auto& x = bundle().unknown.X;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmd.estimate_batch(x));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.rows()));
+  run_score(state, hmd, bundle().unknown.X, api::kEstimateOutputs);
 }
 BENCHMARK(BM_LinearEstimateBatch)->Arg(100);
 
 /// The unified score() spine under different OutputMasks: what a serving
-/// loop pays for hard labels only vs the full Estimate family. range(0) =
+/// loop pays for hard labels only vs the full estimate mask. range(0) =
 /// M, range(1) = model (0 rf / 1 lr / 2 svm), range(2) = mask (0
 /// prediction-only / 1 detection / 2 full estimate).
 void BM_MaskedScore(benchmark::State& state) {
@@ -261,17 +189,7 @@ void BM_MaskedScore(benchmark::State& state) {
   core::TrustedHmd hmd(linear_config_for(
       kinds[state.range(1)], static_cast<int>(state.range(0))));
   hmd.fit(bundle().train);
-  api::ScoreRequest request;
-  request.x = &bundle().test.X;
-  request.outputs = masks[state.range(2)];
-  api::ScoreResult result;  // reused: the loop body allocates nothing
-  hmd.score(request, result);
-  for (auto _ : state) {
-    hmd.score(request, result);
-    benchmark::DoNotOptimize(result.prediction.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bundle().test.X.rows()));
+  run_score(state, hmd, bundle().test.X, masks[state.range(2)]);
 }
 BENCHMARK(BM_MaskedScore)
     ->Args({100, 0, 0})
@@ -359,6 +277,14 @@ BENCHMARK(BM_ArtifactLoadChecksum)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
+/// One detection over `x` into a fresh ScoreResult: what the first
+/// request to a cold-started server pays.
+void detect_once(const core::TrustedHmd& hmd, const Matrix& x) {
+  api::ScoreResult result;
+  hmd.score({.x = &x, .outputs = api::kDetectionOutputs}, result);
+  benchmark::DoNotOptimize(result.prediction.data());
+}
+
 /// Map-and-serve: an artifact loaded zero-copy (mmap) and immediately
 /// asked for its first batch — the serving cold start. range(0) picks the
 /// mode: 0 = mmap, 1 = full-copy read.
@@ -371,8 +297,7 @@ void BM_ArtifactLoadMmap(benchmark::State& state) {
       state.range(0) == 0 ? core::LoadMode::kMmap : core::LoadMode::kStream;
   const auto& x = forest.bundle.test.X;
   for (auto _ : state) {
-    const core::TrustedHmd served = core::load_model(path, 1, mode);
-    benchmark::DoNotOptimize(served.detect_batch(x));
+    detect_once(core::load_model(path, 1, mode), x);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(x.rows()));
@@ -434,8 +359,9 @@ void BM_HpcFeaturize(benchmark::State& state) {
 BENCHMARK(BM_HpcFeaturize);
 
 // ---------------------------------------------------------------------------
-// BENCH_latency.json summary: self-timed throughput of the per-sample vs
-// batched inference paths and of the CSV vs binary bundle cache.
+// BENCH_latency.json summary: self-timed score() throughput per request
+// shape, registry / artifact / JIT / accuracy-tier costs, and the binary
+// bundle cache.
 
 /// Items/sec of `call` (which processes items_per_call items), run for at
 /// least min_seconds after one warm-up call.
@@ -455,6 +381,17 @@ double items_per_sec(std::size_t items_per_call, F&& call,
   return static_cast<double>(calls * items_per_call) / elapsed;
 }
 
+/// Items/sec of score() over `x` under `outputs`, one reused ScoreResult.
+double score_throughput(const core::TrustedHmd& hmd, const Matrix& x,
+                        api::OutputMask outputs) {
+  const api::ScoreRequest request{.x = &x, .outputs = outputs};
+  api::ScoreResult result;
+  return items_per_sec(x.rows(), [&] {
+    hmd.score(request, result);
+    benchmark::DoNotOptimize(result.prediction.data());
+  });
+}
+
 /// Wall-clock milliseconds of one call.
 template <typename F>
 double time_ms(F&& call) {
@@ -467,37 +404,18 @@ double time_ms(F&& call) {
 
 struct ThroughputRow {
   int members = 0;
-  double per_sample_flat = 0.0;       ///< detect() items/sec, flat engine
-  double per_sample_reference = 0.0;  ///< seed pointer-path items/sec
-  double batch = 0.0;                 ///< detect_batch() items/sec
-  double estimate_batch = 0.0;        ///< estimate_batch() items/sec
+  double batch = 0.0;           ///< score(kDetectionOutputs) items/sec
+  double estimate_batch = 0.0;  ///< score(kEstimateOutputs) items/sec
 };
 
 ThroughputRow measure_throughput(int members) {
   core::TrustedHmd hmd(config_for(members));
   hmd.fit(bundle().train);
-  const core::UncertaintyEstimator reference(
-      core::EnsembleView::of(hmd.ensemble()));
   const auto& x = bundle().test.X;
-
   ThroughputRow row;
   row.members = members;
-  row.per_sample_flat = items_per_sec(x.rows(), [&] {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      benchmark::DoNotOptimize(hmd.detect(x.row(r)));
-    }
-  });
-  row.per_sample_reference = items_per_sec(x.rows(), [&] {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      const auto stats = reference.reference_stats(x.row(r));
-      benchmark::DoNotOptimize(core::uncertainty_score(
-          core::UncertaintyMode::kVoteEntropy, stats, members, nullptr));
-    }
-  });
-  row.batch = items_per_sec(
-      x.rows(), [&] { benchmark::DoNotOptimize(hmd.detect_batch(x)); });
-  row.estimate_batch = items_per_sec(
-      x.rows(), [&] { benchmark::DoNotOptimize(hmd.estimate_batch(x)); });
+  row.batch = score_throughput(hmd, x, api::kDetectionOutputs);
+  row.estimate_batch = score_throughput(hmd, x, api::kEstimateOutputs);
   return row;
 }
 
@@ -506,9 +424,9 @@ ThroughputRow measure_throughput(int members) {
 struct LinearThroughputRow {
   std::string model;
   int members = 0;
-  double batch_flat = 0.0;       ///< detect_batch() via FlatLinearEngine
+  double batch_flat = 0.0;       ///< score(kDetectionOutputs) items/sec
   double batch_reference = 0.0;  ///< pre-engine per-member batch path
-  double estimate_batch = 0.0;   ///< estimate_batch() via FlatLinearEngine
+  double estimate_batch = 0.0;   ///< score(kEstimateOutputs) items/sec
 };
 
 LinearThroughputRow measure_linear_throughput(core::ModelKind kind,
@@ -519,19 +437,17 @@ LinearThroughputRow measure_linear_throughput(core::ModelKind kind,
   LinearThroughputRow row;
   row.model = core::model_kind_name(kind);
   row.members = members;
-  row.batch_flat = items_per_sec(
-      x.rows(), [&] { benchmark::DoNotOptimize(hmd.detect_batch(x)); });
+  row.batch_flat = score_throughput(hmd, x, api::kDetectionOutputs);
   row.batch_reference = items_per_sec(x.rows(), [&] {
     benchmark::DoNotOptimize(reference_linear_batch(hmd, x));
   });
-  row.estimate_batch = items_per_sec(
-      x.rows(), [&] { benchmark::DoNotOptimize(hmd.estimate_batch(x)); });
+  row.estimate_batch = score_throughput(hmd, x, api::kEstimateOutputs);
   return row;
 }
 
 /// Masked score() throughput per model family: the cheapest useful
-/// request (prediction only) vs the Detection-shaped mask vs the full
-/// Estimate family, all through one spine with one reused ScoreResult.
+/// request (prediction only) vs the detection mask vs the full estimate
+/// mask, all through one spine with one reused ScoreResult.
 struct MaskedScoreRow {
   std::string model;
   int members = 0;
@@ -544,22 +460,12 @@ MaskedScoreRow measure_masked_score(core::ModelKind kind, int members) {
   core::TrustedHmd hmd(linear_config_for(kind, members));
   hmd.fit(bundle().train);
   const auto& x = bundle().test.X;
-  api::ScoreRequest request;
-  request.x = &x;
-  api::ScoreResult result;
   MaskedScoreRow row;
   row.model = core::model_kind_name(kind);
   row.members = members;
-  const auto throughput = [&](api::OutputMask outputs) {
-    request.outputs = outputs;
-    return items_per_sec(x.rows(), [&] {
-      hmd.score(request, result);
-      benchmark::DoNotOptimize(result.prediction.data());
-    });
-  };
-  row.prediction_only = throughput(api::kPredictionOnly);
-  row.detection = throughput(api::kDetectionOutputs);
-  row.full_estimate = throughput(api::kEstimateOutputs);
+  row.prediction_only = score_throughput(hmd, x, api::kPredictionOnly);
+  row.detection = score_throughput(hmd, x, api::kDetectionOutputs);
+  row.full_estimate = score_throughput(hmd, x, api::kEstimateOutputs);
   return row;
 }
 
@@ -640,7 +546,7 @@ ArtifactTiming measure_artifact(int members) {
 struct ArtifactMmapTiming {
   double v2_mmap_load_ms = 0.0;
   double v2_read_load_ms = 0.0;
-  double v2_mmap_serve_ms = 0.0;  ///< load + first detect_batch
+  double v2_mmap_serve_ms = 0.0;  ///< load + first detection batch
 };
 
 ArtifactMmapTiming measure_artifact_mmap() {
@@ -663,9 +569,7 @@ ArtifactMmapTiming measure_artifact_mmap() {
         core::load_model(v2_path, 1, core::LoadMode::kStream));
   });
   timing.v2_mmap_serve_ms = ms_per_call([&] {
-    const core::TrustedHmd served =
-        core::load_model(v2_path, 1, core::LoadMode::kMmap);
-    benchmark::DoNotOptimize(served.detect_batch(x));
+    detect_once(core::load_model(v2_path, 1, core::LoadMode::kMmap), x);
   });
   std::filesystem::remove(v2_path);
   return timing;
@@ -709,9 +613,8 @@ ArtifactChecksumTiming measure_artifact_checksum() {
 /// Tree-to-native JIT vs the interpreted arena, per artifact scale. Each
 /// row trains an RF, publishes it as a .hmdf, loads it twice from the
 /// same bytes — policy off (interpreted arena kernels) and policy on
-/// (native code compiled at load) — and gates everything on bit-identical
-/// outputs across the full Detection and Estimate column sets over the
-/// serving-scale batch. A row whose parity check fails is REFUSED: it is
+/// (native code compiled at load) — and gates everything on every output
+/// column being bit-identical over the serving-scale batch. A row whose parity check fails is REFUSED: it is
 /// reported on stderr and counted, but never written to the JSON (a fast
 /// wrong kernel must not enter the perf trajectory as a win).
 struct JitSeriesRow {
@@ -724,50 +627,14 @@ struct JitSeriesRow {
   std::size_t code_bytes = 0;
   double compile_ms = 0.0;
   /// Cold-start yardstick the compile cost is judged against: mmap load
-  /// of the same artifact plus its first interpreted detect_batch.
+  /// of the same artifact plus its first interpreted detection batch.
   double arena_load_first_batch_ms = 0.0;
-  double arena_batch = 0.0;         ///< detect_batch items/sec, arena
-  double jit_batch = 0.0;           ///< detect_batch items/sec, native
+  double arena_batch = 0.0;  ///< score(kDetectionOutputs) items/sec, arena
+  double jit_batch = 0.0;    ///< score(kDetectionOutputs) items/sec, native
   double arena_estimate_mask = 0.0; ///< score(kEstimateOutputs) items/sec
   double jit_estimate_mask = 0.0;
   bool parity_ok = false;
 };
-
-bool bitwise_equal_outputs(const core::TrustedHmd& a,
-                           const core::TrustedHmd& b, const Matrix& x) {
-  const auto detect_a = a.detect_batch(x);
-  const auto detect_b = b.detect_batch(x);
-  const auto estimate_a = a.estimate_batch(x);
-  const auto estimate_b = b.estimate_batch(x);
-  if (detect_a.size() != detect_b.size() ||
-      estimate_a.size() != estimate_b.size()) {
-    return false;
-  }
-  for (std::size_t r = 0; r < detect_a.size(); ++r) {
-    if (detect_a[r].prediction != detect_b[r].prediction ||
-        detect_a[r].confidence != detect_b[r].confidence ||
-        detect_a[r].score != detect_b[r].score ||
-        detect_a[r].trusted != detect_b[r].trusted) {
-      return false;
-    }
-  }
-  for (std::size_t r = 0; r < estimate_a.size(); ++r) {
-    const core::Estimate& ea = estimate_a[r];
-    const core::Estimate& eb = estimate_b[r];
-    if (ea.prediction != eb.prediction ||
-        ea.votes_malware != eb.votes_malware ||
-        ea.vote_entropy != eb.vote_entropy ||
-        ea.soft_entropy != eb.soft_entropy ||
-        ea.expected_entropy != eb.expected_entropy ||
-        ea.mutual_information != eb.mutual_information ||
-        ea.variation_ratio != eb.variation_ratio ||
-        ea.max_probability != eb.max_probability || ea.score != eb.score ||
-        ea.trusted != eb.trusted) {
-      return false;
-    }
-  }
-  return true;
-}
 
 JitSeriesRow measure_jit(const std::string& label,
                          const core::TrustedHmd& trained,
@@ -790,9 +657,7 @@ JitSeriesRow measure_jit(const std::string& label,
   const core::TrustedHmd arena =
       core::load_model(path, 1, core::LoadMode::kMmap);
   row.arena_load_first_batch_ms = ms_per_call([&] {
-    const core::TrustedHmd served =
-        core::load_model(path, 1, core::LoadMode::kMmap);
-    benchmark::DoNotOptimize(served.detect_batch(batch));
+    detect_once(core::load_model(path, 1, core::LoadMode::kMmap), batch);
   });
   jit::set_policy(jit::Policy::kOn);
   const core::TrustedHmd jitted =
@@ -806,26 +671,21 @@ JitSeriesRow measure_jit(const std::string& label,
   row.compile_ms = jitted.flat_forest().jit_compile_ms();
 
   // The gate comes first: no parity, no timings worth having.
-  row.parity_ok = bitwise_equal_outputs(arena, jitted, batch);
+  const api::ScoreRequest every_column{
+      .x = &batch, .outputs = api::kEstimateOutputs | api::kOutConfidence};
+  api::ScoreResult arena_result;
+  api::ScoreResult jit_result;
+  arena.score(every_column, arena_result);
+  jitted.score(every_column, jit_result);
+  row.parity_ok = api::bit_identical(arena_result, jit_result);
   if (!row.parity_ok) return row;
 
-  row.arena_batch = items_per_sec(
-      batch.rows(), [&] { benchmark::DoNotOptimize(arena.detect_batch(batch)); });
-  row.jit_batch = items_per_sec(
-      batch.rows(), [&] { benchmark::DoNotOptimize(jitted.detect_batch(batch)); });
-  const auto masked = [&](const core::TrustedHmd& hmd) {
-    api::ScoreRequest request;
-    request.x = &batch;
-    request.outputs = api::kEstimateOutputs;
-    api::ScoreResult result;
-    hmd.score(request, result);
-    return items_per_sec(batch.rows(), [&] {
-      hmd.score(request, result);
-      benchmark::DoNotOptimize(result.prediction.data());
-    });
-  };
-  row.arena_estimate_mask = masked(arena);
-  row.jit_estimate_mask = masked(jitted);
+  row.arena_batch = score_throughput(arena, batch, api::kDetectionOutputs);
+  row.jit_batch = score_throughput(jitted, batch, api::kDetectionOutputs);
+  row.arena_estimate_mask =
+      score_throughput(arena, batch, api::kEstimateOutputs);
+  row.jit_estimate_mask =
+      score_throughput(jitted, batch, api::kEstimateOutputs);
   return row;
 }
 
@@ -870,7 +730,7 @@ std::vector<JitSeriesRow> measure_jit_series() {
 }
 
 /// Schema v8: the two-tier accuracy series. Fast- vs exact-tier score()
-/// under the full Estimate mask with the soft-entropy mode — the only
+/// under the full estimate mask with the soft-entropy mode — the only
 /// request shape whose fill stage pays per-element transcendentals, i.e.
 /// where the vectorised vmath kernels can show up at all. Rows are
 /// band-gated the way the jit series is parity-gated: integer columns
@@ -1017,7 +877,7 @@ void write_summary_json(const char* path) {
     return;
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_latency\",\n");
-  std::fprintf(out, "  \"schema_version\": 9,\n");
+  std::fprintf(out, "  \"schema_version\": 10,\n");
   std::fprintf(out, "  \"n_train\": %zu,\n  \"n_test\": %zu,\n",
                bundle().train.size(), bundle().test.size());
   std::fprintf(out, "  \"hardware_threads\": %u,\n",
@@ -1026,23 +886,14 @@ void write_summary_json(const char* path) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ThroughputRow& row = rows[i];
     std::fprintf(out,
-                 "    {\"members\": %d, \"per_sample_flat\": %.1f, "
-                 "\"per_sample_reference\": %.1f, \"detect_batch\": %.1f, "
-                 "\"estimate_batch\": %.1f,\n     "
-                 "\"speedup_batch_vs_seed_per_sample\": %.2f, "
-                 "\"speedup_batch_vs_flat_per_sample\": %.2f}%s\n",
-                 row.members, row.per_sample_flat, row.per_sample_reference,
-                 row.batch, row.estimate_batch,
-                 row.batch / row.per_sample_reference,
-                 row.batch / row.per_sample_flat,
+                 "    {\"members\": %d, \"detect_batch\": %.1f, "
+                 "\"estimate_batch\": %.1f}%s\n",
+                 row.members, row.batch, row.estimate_batch,
                  i + 1 < rows.size() ? "," : "");
     std::fprintf(stderr,
-                 "[bench_latency] M=%d detect items/sec: reference "
-                 "(seed per-sample) %.0f | flat per-sample %.0f | "
-                 "flat batch %.0f (%.1fx vs seed, %.1fx vs flat)\n",
-                 row.members, row.per_sample_reference, row.per_sample_flat,
-                 row.batch, row.batch / row.per_sample_reference,
-                 row.batch / row.per_sample_flat);
+                 "[bench_latency] RF M=%d score() items/sec: detection "
+                 "%.0f | estimate %.0f\n",
+                 row.members, row.batch, row.estimate_batch);
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"linear_throughput_items_per_sec\": [\n");

@@ -77,14 +77,12 @@ std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
       std::max<std::int64_t>(0, static_cast<std::int64_t>(ms)));
 }
 
-/// The residency ledger's idea of a detector's footprint: the flat
-/// engine's arena (which for an mmap load *is* the mapped artifact
-/// payload). Floor of 1 so even an exotic zero-reporting detector stays
-/// visible to the eviction accounting.
+/// The residency ledger's idea of a detector's footprint: the engine's
+/// arena (which for an mmap load *is* the mapped artifact payload). Floor
+/// of 1 so even an exotic zero-reporting engine stays visible to the
+/// eviction accounting.
 std::size_t resident_footprint(const core::TrustedHmd& detector) {
-  const std::size_t bytes =
-      detector.uses_flat_engine() ? detector.engine().memory_bytes() : 0;
-  return std::max<std::size_t>(1, bytes);
+  return std::max<std::size_t>(1, detector.engine().memory_bytes());
 }
 
 }  // namespace

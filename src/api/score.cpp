@@ -1,5 +1,7 @@
 #include "api/score.h"
 
+#include <cstring>
+
 namespace hmd::api {
 
 core::StatsMask stats_mask_for(OutputMask outputs,
@@ -22,6 +24,13 @@ core::StatsMask stats_mask_for(OutputMask outputs,
 }
 
 namespace {
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
 
 template <typename T>
 void shape_column(std::vector<T>& column, bool selected, std::size_t n) {
@@ -48,6 +57,19 @@ void ScoreResult::shape(OutputMask outputs, std::size_t n) {
   shape_column(max_probability, outputs & kOutMaxProbability, n);
   shape_column(score, outputs & kOutScore, n);
   shape_column(trusted, outputs & kOutTrusted, n);
+}
+
+bool bit_identical(const ScoreResult& a, const ScoreResult& b) {
+  return a.rows == b.rows && same_bytes(a.prediction, b.prediction) &&
+         same_bytes(a.confidence, b.confidence) &&
+         same_bytes(a.votes, b.votes) &&
+         same_bytes(a.vote_entropy, b.vote_entropy) &&
+         same_bytes(a.soft_entropy, b.soft_entropy) &&
+         same_bytes(a.expected_entropy, b.expected_entropy) &&
+         same_bytes(a.mutual_information, b.mutual_information) &&
+         same_bytes(a.variation_ratio, b.variation_ratio) &&
+         same_bytes(a.max_probability, b.max_probability) &&
+         same_bytes(a.score, b.score) && same_bytes(a.trusted, b.trusted);
 }
 
 }  // namespace hmd::api

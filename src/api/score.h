@@ -4,9 +4,9 @@
 // A ScoreRequest names an input matrix and an OutputMask of the columns
 // the caller wants; UntrustedHmd::score(request, result) fills exactly
 // those columns of a struct-of-arrays ScoreResult and computes nothing
-// else. The legacy surface (detect / detect_batch / estimate /
-// estimate_batch / scores) is a set of thin compatibility wrappers over
-// this spine with preset masks.
+// else. It is the only way to get outputs from a detector: the preset
+// masks below name the common request shapes, and ScoreRequest::mode
+// re-scores under another uncertainty quantity.
 //
 // ## The OutputMask contract
 //
@@ -15,10 +15,10 @@
 //    unselected column is empty (size 0, capacity retained). Reading an
 //    unselected column is a caller bug, not undefined behaviour — it is
 //    just empty.
-//  - Selected values are bit-identical to the full-surface results: the
-//    same expressions as Detection / Estimate field for field, in the
-//    same per-sample accumulation order, for any mask. Masking changes
-//    what is computed, never the value of what is computed.
+//  - Selected values are bit-identical to the same columns of a request
+//    selecting every column: one expression per column, in the same
+//    per-sample accumulation order, for any mask. Masking changes what
+//    is computed, never the value of what is computed.
 //  - kOutScore / kOutTrusted are evaluated under ScoreRequest::mode when
 //    set, else under the detector's configured mode — per-request
 //    selection of the uncertainty quantity a deployment consumes
@@ -85,11 +85,13 @@ enum Output : std::uint32_t {
 };
 using OutputMask = std::uint32_t;
 
-/// What detect_batch() consumes — the Detection struct, column for column.
+/// The conventional detector's answer: label, confidence, the score under
+/// the request's mode and its trust flag.
 inline constexpr OutputMask kDetectionOutputs =
     kOutPrediction | kOutConfidence | kOutScore | kOutTrusted;
 
-/// What estimate_batch() consumes — the full Estimate family.
+/// The online uncertainty estimate: label, votes, all six uncertainty
+/// scores, the score under the request's mode and its trust flag.
 inline constexpr OutputMask kEstimateOutputs =
     kOutPrediction | kOutVotes | kOutVoteEntropy | kOutSoftEntropy |
     kOutExpectedEntropy | kOutMutualInformation | kOutVariationRatio |
@@ -113,8 +115,8 @@ struct ScoreRequest {
   const Matrix* x = nullptr;
   OutputMask outputs = kDetectionOutputs;
   /// Mode for kOutScore / kOutTrusted; unset = the detector's configured
-  /// mode. Generalises the old TrustedHmd::scores(x, mode) override.
-  std::optional<core::UncertaintyMode> mode;
+  /// mode.
+  std::optional<core::UncertaintyMode> mode = std::nullopt;
   /// Serving tier — see "The two-tier accuracy contract" above. kExact
   /// keeps today's bit-parity guarantee; kFast permits the vectorised
   /// ≤2-ULP transcendental kernels on the hot path.
@@ -154,5 +156,12 @@ struct ScoreResult {
   /// either way. score() calls this; callers never need to.
   void shape(OutputMask outputs, std::size_t n);
 };
+
+/// True when `a` and `b` have the same row count and every output column
+/// holds the same bytes (an empty column matches only an empty column).
+/// Bitwise, so NaN equals an identical NaN and -0.0 differs from 0.0 —
+/// the comparison a bit-identity contract needs. The stats and fast-tier
+/// scratch are not compared.
+bool bit_identical(const ScoreResult& a, const ScoreResult& b);
 
 }  // namespace hmd::api

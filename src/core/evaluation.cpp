@@ -8,10 +8,16 @@
 namespace hmd::core {
 
 EntropyDistributions entropy_distributions(
-    const TrustedHmd& hmd, const data::DatasetBundle& bundle) {
+    const TrustedHmd& hmd, const data::DatasetBundle& bundle,
+    std::optional<UncertaintyMode> mode) {
   EntropyDistributions distributions;
-  distributions.known = hmd.scores(bundle.test.X, hmd.config().mode);
-  distributions.unknown = hmd.scores(bundle.unknown.X, hmd.config().mode);
+  api::ScoreResult result;
+  hmd.score({.x = &bundle.test.X, .outputs = api::kOutScore, .mode = mode},
+            result);
+  distributions.known = std::move(result.score);
+  hmd.score({.x = &bundle.unknown.X, .outputs = api::kOutScore, .mode = mode},
+            result);
+  distributions.unknown = std::move(result.score);
   distributions.known_stats = boxplot_stats(distributions.known);
   distributions.unknown_stats = boxplot_stats(distributions.unknown);
   return distributions;
@@ -75,21 +81,23 @@ std::vector<F1CurvePoint> f1_vs_threshold(
     const std::vector<double>& thresholds) {
   HMD_REQUIRE(split.size() > 0 && split.y.size() == split.size(),
               "f1_vs_threshold: bad split");
-  const auto estimates = hmd.estimate_batch(split.X);
+  api::ScoreResult scored;
+  hmd.score({.x = &split.X, .outputs = api::kOutPrediction | api::kOutScore},
+            scored);
   std::vector<F1CurvePoint> curve;
   curve.reserve(thresholds.size());
   for (const double threshold : thresholds) {
     F1CurvePoint point;
     point.threshold = threshold;
     std::vector<int> y_true, y_pred;
-    for (std::size_t i = 0; i < estimates.size(); ++i) {
-      if (estimates[i].score > threshold) continue;
+    for (std::size_t i = 0; i < scored.rows; ++i) {
+      if (scored.score[i] > threshold) continue;
       y_true.push_back(split.y[i]);
-      y_pred.push_back(estimates[i].prediction);
+      y_pred.push_back(scored.prediction[i]);
     }
     point.fraction_rejected =
         1.0 - static_cast<double>(y_true.size()) /
-                  static_cast<double>(estimates.size());
+                  static_cast<double>(scored.rows);
     if (!y_true.empty()) {
       const auto metrics = ml::binary_metrics(y_true, y_pred);
       point.f1 = metrics.f1;
@@ -111,12 +119,12 @@ std::vector<EnsembleSizePoint> ensemble_size_sweep(
     config.n_members = size;
     TrustedHmd hmd(config);
     hmd.fit(bundle.train);
+    const EntropyDistributions distributions =
+        entropy_distributions(hmd, bundle);
     EnsembleSizePoint point;
     point.n_members = size;
-    point.mean_entropy_known =
-        mean(hmd.scores(bundle.test.X, config.mode));
-    point.mean_entropy_unknown =
-        mean(hmd.scores(bundle.unknown.X, config.mode));
+    point.mean_entropy_known = mean(distributions.known);
+    point.mean_entropy_unknown = mean(distributions.unknown);
     sweep.push_back(point);
   }
   return sweep;
@@ -150,11 +158,9 @@ DetectorSummary evaluate_detector(ModelKind kind,
   hmd.fit(bundle.train);
 
   DetectorSummary summary;
-  const auto detections = hmd.detect_batch(bundle.test.X);
-  std::vector<int> predictions;
-  predictions.reserve(detections.size());
-  for (const auto& d : detections) predictions.push_back(d.prediction);
-  const auto metrics = ml::binary_metrics(bundle.test.y, predictions);
+  api::ScoreResult predicted;
+  hmd.score({.x = &bundle.test.X, .outputs = api::kPredictionOnly}, predicted);
+  const auto metrics = ml::binary_metrics(bundle.test.y, predicted.prediction);
   summary.accuracy = metrics.accuracy;
   summary.f1 = metrics.f1;
 

@@ -3,6 +3,7 @@
 // curves, accept-set F1, ensemble-size sweeps and the OOD AUROC — the
 // quantities behind Figs. 4-9 of the paper.
 
+#include <optional>
 #include <vector>
 
 #include "common/stats.h"
@@ -19,10 +20,11 @@ struct EntropyDistributions {
   BoxplotStats unknown_stats;
 };
 
-/// Score both splits of the bundle under the detector's configured mode
-/// (batched through the flat engine) and summarise them.
-EntropyDistributions entropy_distributions(const TrustedHmd& hmd,
-                                           const data::DatasetBundle& bundle);
+/// Score both splits of the bundle under `mode` (default: the detector's
+/// configured mode) and summarise them.
+EntropyDistributions entropy_distributions(
+    const TrustedHmd& hmd, const data::DatasetBundle& bundle,
+    std::optional<UncertaintyMode> mode = std::nullopt);
 
 /// n evenly-spaced thresholds over [lo, hi], endpoints included.
 std::vector<double> threshold_grid(double lo, double hi, std::size_t n);

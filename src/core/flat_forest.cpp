@@ -222,30 +222,6 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
   return flat;
 }
 
-EnsembleStats FlatForestEngine::stats_one(RowView x) const {
-  HMD_REQUIRE(x.size() == n_features_,
-              "FlatForestEngine::stats_one: feature width mismatch");
-  EnsembleStats stats;
-  const Node* nodes = nodes_.data();
-  const double* entropy = leaf_entropy_.data();
-  for (const std::int32_t root : roots_) {
-    std::int32_t i = root;
-    Node node = nodes[i];
-    while (node.feature >= 0) {
-      // !(x <= t), not (x > t): matches the reference tree's `<= ? left :
-      // right` step for NaN inputs too (both send NaN right).
-      i = node.left + !(x[static_cast<std::size_t>(node.feature)] <=
-                        node.threshold);
-      node = nodes[i];
-    }
-    const double p1 = node.threshold;
-    stats.votes1 += p1 > 0.5;
-    stats.sum_p1 += p1;
-    stats.sum_entropy += entropy[i];
-  }
-  return stats;
-}
-
 template <bool kNeedPosterior, bool kNeedEntropy>
 void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
                                     const double* xt, std::size_t tile,
@@ -256,10 +232,9 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
 
   // Tree-major: each tree's nodes stay hot while the whole tile reuses
   // them. Trees run in ascending member order and lanes are rows, so
-  // per-sample accumulation order matches stats_one and the reference
-  // path exactly. Masked-out fields get no accumulate: a prediction-only
-  // request runs the stump loop as one compare plus a single blend and
-  // add per row.
+  // per-sample accumulation order matches the reference path exactly.
+  // Masked-out fields get no accumulate: a prediction-only request runs
+  // the stump loop as one compare plus a single blend and add per row.
   for (std::size_t m = 0; m < self.roots_.size(); ++m) {
     if (self.is_stump_[m]) {
       const Stump stump = self.stumps_[m];

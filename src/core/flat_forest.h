@@ -104,7 +104,6 @@ class FlatForestEngine final : public InferenceEngine {
   std::string name() const override { return "flat_forest"; }
   EngineId engine_id() const override { return EngineId::kFlatForest; }
   std::size_t n_members() const override { return roots_.size(); }
-  EnsembleStats stats_one(RowView x) const override;
   void stats_batch(const Matrix& x, ThreadPool* pool,
                    std::vector<EnsembleStats>& out,
                    StatsMask mask) const override;

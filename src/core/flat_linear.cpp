@@ -167,31 +167,6 @@ std::unique_ptr<FlatLinearEngine> FlatLinearEngine::from_buffer(
   return engine;
 }
 
-EnsembleStats FlatLinearEngine::stats_one(RowView x) const {
-  HMD_REQUIRE(x.size() == n_features_,
-              "FlatLinearEngine::stats_one: feature width mismatch");
-  // Standardise exactly like StandardScaler::transform_row.
-  std::vector<double> xs(n_features_);
-  for (std::size_t c = 0; c < n_features_; ++c) {
-    xs[c] = (x[c] - means_[c]) / scales_[c];
-  }
-  EnsembleStats stats;
-  for (std::size_t m = 0; m < n_members_; ++m) {
-    // dot_row: single accumulator in ascending feature order.
-    const double* w = weights_.data() + m * n_features_;
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n_features_; ++c) sum += w[c] * xs[c];
-    const double z = sum + bias_[m];
-    const double t =
-        kind_ == MemberKind::kLogistic ? z : -(platt_a_[m] * z + platt_b_[m]);
-    const double p = link_probability(t);
-    stats.votes1 += p > 0.5;
-    stats.sum_p1 += p;
-    stats.sum_entropy += binary_entropy(p);
-  }
-  return stats;
-}
-
 template <bool kNeedPosterior, bool kNeedEntropy>
 void FlatLinearEngine::tile_kernel(const Matrix& x, std::size_t row_begin,
                                    std::size_t row_end, EnsembleStats* out,

@@ -96,7 +96,6 @@ class FlatLinearEngine final : public InferenceEngine {
   }
   EngineId engine_id() const override { return EngineId::kFlatLinear; }
   std::size_t n_members() const override { return n_members_; }
-  EnsembleStats stats_one(RowView x) const override;
   void stats_batch(const Matrix& x, ThreadPool* pool,
                    std::vector<EnsembleStats>& out,
                    StatsMask mask) const override;

@@ -45,10 +45,8 @@ std::unique_ptr<ThreadPool> make_pool(int n_threads) {
   return std::make_unique<ThreadPool>(n_threads);
 }
 
-// The single definitions of the prediction / confidence derivations.
-// Every surface — single-sample detect()/estimate() and the batched
-// score() column fills — goes through these, so the bit-parity-critical
-// expressions cannot diverge between paths.
+// The prediction / confidence derivations, shared by the score() column
+// fills that need them.
 
 inline int predict_from(const EnsembleStats& stats, int m) {
   return 2 * stats.votes1 > m ? 1 : 0;
@@ -95,7 +93,6 @@ UntrustedHmd::UntrustedHmd(HmdConfig config,
   HMD_REQUIRE(engine_->n_members() ==
                   static_cast<std::size_t>(config_.n_members),
               "UntrustedHmd: engine/config member count mismatch");
-  scale_inputs_ = config_.model != ModelKind::kRandomForest;
 }
 
 ml::ClassifierFactory UntrustedHmd::member_factory() const {
@@ -142,10 +139,9 @@ void UntrustedHmd::fit(const ml::Dataset& train) {
   // the flat engine can traverse dataset rows in place. (The compiled
   // linear engine owns a copy of these moments and standardises
   // internally — every engine consumes raw rows.)
-  scale_inputs_ = config_.model != ModelKind::kRandomForest;
   const Matrix* fit_x = &train.X;
   Matrix scaled;
-  if (scale_inputs_) {
+  if (config_.model != ModelKind::kRandomForest) {
     scaled = scaler_.fit_transform(train.X);
     fit_x = &scaled;
   }
@@ -186,64 +182,9 @@ bool UntrustedHmd::converged() const {
 }
 
 double UntrustedHmd::converged_fraction() const {
-  HMD_REQUIRE(ready(), "UntrustedHmd: not fitted");
+  HMD_REQUIRE(engine_ != nullptr, "UntrustedHmd: not fitted");
   if (!fitted()) return serving_converged_fraction_;
   return ensemble_->converged_fraction();
-}
-
-EnsembleStats UntrustedHmd::stats_one(RowView x) const {
-  HMD_REQUIRE(ready(), "UntrustedHmd: detect before fit");
-  if (engine_ != nullptr) return engine_->stats_one(x);
-  std::vector<double> scaled;
-  if (scale_inputs_) {
-    scaler_.transform_row(x, scaled);
-    x = RowView(scaled.data(), scaled.size());
-  }
-  std::vector<double> probabilities;
-  ensemble_->member_probabilities(x, probabilities);
-  return accumulate_stats(probabilities);
-}
-
-void UntrustedHmd::stats_batch(const Matrix& x,
-                               std::vector<EnsembleStats>& out,
-                               StatsMask mask) const {
-  HMD_REQUIRE(ready(), "UntrustedHmd: detect before fit");
-  if (engine_ != nullptr) {
-    engine_->stats_batch(x, pool_.get(), out, mask);
-    return;
-  }
-  // The reference fallback always fills every field: it is the parity
-  // baseline, and member_probabilities dominates anyway.
-  const Matrix scaled = scale_inputs_ ? scaler_.transform(x) : Matrix();
-  const Matrix& input = scale_inputs_ ? scaled : x;
-  out.assign(input.rows(), EnsembleStats{});
-  auto body = [&](std::size_t begin, std::size_t end) {
-    std::vector<double> probabilities;
-    for (std::size_t r = begin; r < end; ++r) {
-      ensemble_->member_probabilities(input.row(r), probabilities);
-      out[r] = accumulate_stats(probabilities);
-    }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(input.rows(), body);
-  } else {
-    body(0, input.rows());
-  }
-}
-
-Detection UntrustedHmd::detection_from_stats(
-    const EnsembleStats& stats) const {
-  Detection detection;
-  const int m = config_.n_members;
-  detection.prediction = predict_from(stats, m);
-  detection.confidence = confidence_from(stats, detection.prediction, m);
-  detection.score = uncertainty_score(config_.mode, stats, m, &vote_lut_);
-  detection.trusted = detection.score <= config_.entropy_threshold;
-  return detection;
-}
-
-Detection UntrustedHmd::detect(RowView x) const {
-  return detection_from_stats(stats_one(x));
 }
 
 void UntrustedHmd::score(const api::ScoreRequest& request,
@@ -260,13 +201,13 @@ void UntrustedHmd::score(const api::ScoreRequest& request,
 
   StatsMask stats_mask = api::stats_mask_for(outputs, mode);
   if (fast) stats_mask |= kStatsFastMath;
-  stats_batch(x, result.stats, stats_mask);
+  engine().stats_batch(x, pool_.get(), result.stats, stats_mask);
   result.shape(outputs, x.rows());
 
-  // Column fills, one tight loop per selected output. Every column goes
-  // through the same derivation the Detection / Estimate surface uses
-  // (predict_from / confidence_from / uncertainty_score), so any mask
-  // subset is bit-identical to the full legacy surface.
+  // Column fills, one tight loop per selected output. Each column has one
+  // derivation (predict_from / confidence_from / uncertainty_score) that
+  // reads only its own stats fields, so any mask subset is bit-identical
+  // to the same columns of a full request.
   const std::vector<EnsembleStats>& stats = result.stats;
   const std::size_t n = x.rows();
   const int m = config_.n_members;
@@ -288,7 +229,7 @@ void UntrustedHmd::score(const api::ScoreRequest& request,
   if (outputs & api::kOutVoteEntropy) {
     for (std::size_t r = 0; r < n; ++r) {
       result.vote_entropy[r] = uncertainty_score(
-          UncertaintyMode::kVoteEntropy, stats[r], m, vote_lut());
+          UncertaintyMode::kVoteEntropy, stats[r], m, &vote_lut_);
     }
   }
   if (outputs & api::kOutSoftEntropy) {
@@ -360,7 +301,7 @@ void UntrustedHmd::score(const api::ScoreRequest& request,
       }
     } else {
       for (std::size_t r = 0; r < n; ++r) {
-        const double s = uncertainty_score(mode, stats[r], m, vote_lut());
+        const double s = uncertainty_score(mode, stats[r], m, &vote_lut_);
         if (want_score) result.score[r] = s;
         if (want_trusted) {
           result.trusted[r] = s <= config_.entropy_threshold ? 1 : 0;
@@ -368,82 +309,6 @@ void UntrustedHmd::score(const api::ScoreRequest& request,
       }
     }
   }
-}
-
-std::vector<Detection> UntrustedHmd::detect_batch(const Matrix& x) const {
-  api::ScoreRequest request;
-  request.x = &x;
-  request.outputs = api::kDetectionOutputs;
-  api::ScoreResult result;
-  score(request, result);
-  std::vector<Detection> out(result.rows);
-  for (std::size_t r = 0; r < result.rows; ++r) {
-    out[r].prediction = result.prediction[r];
-    out[r].confidence = result.confidence[r];
-    out[r].score = result.score[r];
-    out[r].trusted = result.trusted[r] != 0;
-  }
-  return out;
-}
-
-Estimate TrustedHmd::estimate_from_stats(const EnsembleStats& stats) const {
-  Estimate estimate;
-  const int m = config_.n_members;
-  estimate.prediction = predict_from(stats, m);
-  estimate.votes_malware = stats.votes1;
-  estimate.vote_entropy =
-      uncertainty_score(UncertaintyMode::kVoteEntropy, stats, m, vote_lut());
-  estimate.soft_entropy =
-      uncertainty_score(UncertaintyMode::kSoftEntropy, stats, m, nullptr);
-  estimate.expected_entropy = uncertainty_score(
-      UncertaintyMode::kExpectedEntropy, stats, m, nullptr);
-  estimate.mutual_information = uncertainty_score(
-      UncertaintyMode::kMutualInformation, stats, m, nullptr);
-  estimate.variation_ratio = uncertainty_score(
-      UncertaintyMode::kVariationRatio, stats, m, nullptr);
-  estimate.max_probability = uncertainty_score(
-      UncertaintyMode::kMaxProbability, stats, m, nullptr);
-  estimate.score =
-      uncertainty_score(config_.mode, stats, m, vote_lut());
-  estimate.trusted = estimate.score <= config_.entropy_threshold;
-  return estimate;
-}
-
-Estimate TrustedHmd::estimate(RowView x) const {
-  return estimate_from_stats(stats_one(x));
-}
-
-std::vector<Estimate> TrustedHmd::estimate_batch(const Matrix& x) const {
-  api::ScoreRequest request;
-  request.x = &x;
-  request.outputs = api::kEstimateOutputs;
-  api::ScoreResult result;
-  score(request, result);
-  std::vector<Estimate> out(result.rows);
-  for (std::size_t r = 0; r < result.rows; ++r) {
-    out[r].prediction = result.prediction[r];
-    out[r].votes_malware = result.votes[r];
-    out[r].vote_entropy = result.vote_entropy[r];
-    out[r].soft_entropy = result.soft_entropy[r];
-    out[r].expected_entropy = result.expected_entropy[r];
-    out[r].mutual_information = result.mutual_information[r];
-    out[r].variation_ratio = result.variation_ratio[r];
-    out[r].max_probability = result.max_probability[r];
-    out[r].score = result.score[r];
-    out[r].trusted = result.trusted[r] != 0;
-  }
-  return out;
-}
-
-std::vector<double> TrustedHmd::scores(const Matrix& x,
-                                       UncertaintyMode mode) const {
-  api::ScoreRequest request;
-  request.x = &x;
-  request.outputs = api::kOutScore;
-  request.mode = mode;
-  api::ScoreResult result;
-  score(request, result);
-  return std::move(result.score);
 }
 
 }  // namespace hmd::core

@@ -5,29 +5,28 @@
 //                  classifier emitting a label and a point-estimate
 //                  confidence (no uncertainty awareness).
 //   TrustedHmd   — the same ensemble plus the online uncertainty
-//                  estimator: estimate() returns the full family of
-//                  ensemble scores and flags whether the prediction is
+//                  estimator: its score() columns carry the full family
+//                  of ensemble scores and flag whether each prediction is
 //                  trustworthy under the configured threshold.
 //
 // Inference spine: after fit(), the trained ensemble is compiled into a
 // pluggable InferenceEngine (core/inference_engine.h) — tree ensembles
 // into the flat struct-of-arrays FlatForestEngine, bagged LR / SVM into
-// the FlatLinearEngine weight-matrix engine. The one batched entry point
-// is score(ScoreRequest, ScoreResult) (api/score.h): the request's
-// OutputMask selects which columns are computed, the result's buffers are
-// caller-owned and reusable, and the mask is lowered to an engine-level
-// StatsMask so unrequested per-member work is never done. detect(),
-// detect_batch(), estimate(), estimate_batch() and scores() are thin
-// compatibility wrappers over that spine with preset masks. Batch entry
-// points are parallelised by a reusable thread pool sized by
-// HmdConfig::n_threads. The reference ml::Bagging member path is retained
-// for parity testing and as a fallback for exotic ensembles.
+// the FlatLinearEngine weight-matrix engine. score(ScoreRequest,
+// ScoreResult) (api/score.h) is the one way to get outputs: the request's
+// OutputMask selects which columns are computed (the presets
+// api::kDetectionOutputs / kEstimateOutputs / kPredictionOnly name the
+// common shapes), the result's buffers are caller-owned and reusable, and
+// the mask is lowered to an engine-level StatsMask so unrequested
+// per-member work is never done. Batches are parallelised by a reusable
+// thread pool sized by HmdConfig::n_threads. The reference ml::Bagging
+// ensemble is kept after fit() only for the parity suites.
 //
 // Train-once / serve-many: save_model()/load_model()
 // (core/model_artifact.h) persist config + scaler + engine as a `.hmdf`
 // artifact; a detector loaded from one is *serving-only* — it carries an
-// engine but no ml::Bagging and cannot be re-fit, yet emits bit-identical
-// detections and estimates.
+// engine but no ml::Bagging and cannot be re-fit, yet scores
+// bit-identically to the trained detector.
 
 #include <cstdint>
 #include <memory>
@@ -77,28 +76,6 @@ struct HmdConfig {
   int tree_max_depth = 0;  ///< 0 = unlimited
 };
 
-/// Output of the conventional detector.
-struct Detection {
-  int prediction = 0;        ///< 0 = benign, 1 = malware
-  double confidence = 0.0;   ///< mean member probability of the prediction
-  double score = 0.0;        ///< uncertainty score under config.mode
-  bool trusted = false;      ///< score <= config.entropy_threshold
-};
-
-/// Output of the online uncertainty estimator.
-struct Estimate {
-  int prediction = 0;
-  int votes_malware = 0;
-  double vote_entropy = 0.0;
-  double soft_entropy = 0.0;
-  double expected_entropy = 0.0;
-  double mutual_information = 0.0;
-  double variation_ratio = 0.0;
-  double max_probability = 0.0;
-  double score = 0.0;  ///< the score selected by config.mode
-  bool trusted = false;
-};
-
 class UntrustedHmd {
  public:
   explicit UntrustedHmd(HmdConfig config);
@@ -123,14 +100,6 @@ class UntrustedHmd {
   /// one ScoreResult across calls makes the steady state allocation-free.
   void score(const api::ScoreRequest& request, api::ScoreResult& result) const;
 
-  /// Classify one sample. (Compatibility wrapper over the score() spine's
-  /// per-stat derivations.)
-  Detection detect(RowView x) const;
-
-  /// Classify every row of x. (Compatibility wrapper: score() with
-  /// api::kDetectionOutputs, re-packed into AoS Detection records.)
-  std::vector<Detection> detect_batch(const Matrix& x) const;
-
   /// True when every member's training converged.
   bool converged() const;
   double converged_fraction() const;
@@ -142,9 +111,7 @@ class UntrustedHmd {
   /// Does this detector carry a reference training ensemble? (false for
   /// detectors reconstructed from a model artifact).
   bool has_ensemble() const { return ensemble_ != nullptr; }
-  /// Is inference routed through a compiled flat engine?
-  bool uses_flat_engine() const { return engine_ != nullptr; }
-  /// The compiled engine; throws when inference is on the reference path.
+  /// The compiled engine; throws on an unfitted detector.
   const InferenceEngine& engine() const;
   /// The compiled engine as a FlatForestEngine (tree models only; the
   /// parity suite inspects arena geometry through this).
@@ -152,32 +119,17 @@ class UntrustedHmd {
   /// Standardisation owned by the detector (fitted for linear models).
   const ml::StandardScaler& input_scaler() const { return scaler_; }
 
- protected:
-  EnsembleStats stats_one(RowView x) const;
-  /// Batched stats; `mask` names the EnsembleStats fields the caller will
-  /// read (engines skip the work feeding unselected fields).
-  void stats_batch(const Matrix& x, std::vector<EnsembleStats>& out,
-                   StatsMask mask) const;
-  Detection detection_from_stats(const EnsembleStats& stats) const;
-  /// Has a usable inference path (engine or reference ensemble)?
-  bool ready() const { return engine_ != nullptr || fitted(); }
-  bool fitted() const { return ensemble_ != nullptr && ensemble_->fitted(); }
-  int n_members() const { return config_.n_members; }
-  const VoteEntropyTable* vote_lut() const { return &vote_lut_; }
-  ThreadPool* pool() const { return pool_.get(); }
-
-  HmdConfig config_;
-
  private:
+  bool fitted() const { return ensemble_ != nullptr && ensemble_->fitted(); }
   ml::ClassifierFactory member_factory() const;
   std::unique_ptr<InferenceEngine> compile_engine() const;
 
+  HmdConfig config_;
   std::unique_ptr<ml::Bagging> ensemble_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<InferenceEngine> engine_;
   VoteEntropyTable vote_lut_;
   ml::StandardScaler scaler_;
-  bool scale_inputs_ = false;
   /// Training-time convergence, carried by serving-only detectors.
   double serving_converged_fraction_ = 1.0;
 };
@@ -191,21 +143,6 @@ class TrustedHmd : public UntrustedHmd {
              ml::StandardScaler scaler, double converged_fraction)
       : UntrustedHmd(std::move(config), std::move(engine), std::move(scaler),
                      converged_fraction) {}
-
-  /// Full uncertainty estimate for one sample.
-  Estimate estimate(RowView x) const;
-
-  /// Batched estimates for every row of x. (Compatibility wrapper:
-  /// score() with api::kEstimateOutputs, re-packed into AoS Estimates.)
-  std::vector<Estimate> estimate_batch(const Matrix& x) const;
-
-  /// Uncertainty scores for every row under an explicit mode (batched).
-  /// (Compatibility wrapper: score() with api::kOutScore and the request
-  /// mode overridden.)
-  std::vector<double> scores(const Matrix& x, UncertaintyMode mode) const;
-
- private:
-  Estimate estimate_from_stats(const EnsembleStats& stats) const;
 };
 
 }  // namespace hmd::core

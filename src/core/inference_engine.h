@@ -1,8 +1,8 @@
 #pragma once
 // The pluggable inference spine. After training, an ensemble is compiled
 // into an InferenceEngine — a self-contained, trainer-free representation
-// that produces the per-sample EnsembleStats every Detection and Estimate
-// is derived from. Engines consume *raw* feature rows (an engine that
+// that produces the per-sample EnsembleStats every score() column is
+// derived from. Engines consume *raw* feature rows (an engine that
 // needs standardised inputs owns its scaler) so callers never have to know
 // which preprocessing a model family requires.
 //
@@ -53,9 +53,8 @@ enum class EngineId : std::uint32_t {
 ///
 ///  - kExact (the default): today's guarantee, unchanged — every output
 ///    is bit-identical to the reference member-by-member path, libm
-///    transcendentals included. Old wire-protocol clients, the legacy
-///    wrapper surface, and any request that does not say otherwise get
-///    this tier.
+///    transcendentals included. Old wire-protocol clients and any
+///    request that does not say otherwise get this tier.
 ///  - kFast: transcendentals (the linear engines' sigmoid, every binary
 ///    entropy) are evaluated by the vectorised kernels in simd/vmath.h
 ///    under their documented ≤2-ULP bound. Saturated sigmoid values and
@@ -105,17 +104,15 @@ class InferenceEngine {
   /// before ever building a Matrix from untrusted bytes.
   virtual std::size_t n_features() const = 0;
 
-  /// Full ensemble statistics (votes, posterior sum, entropy sum) for a
-  /// single raw-feature sample, accumulated in member order — bit-identical
-  /// to the reference member-by-member path.
-  virtual EnsembleStats stats_one(RowView x) const = 0;
-
-  /// Batched statistics for every row of `x`, parallelised over `pool`
-  /// when given; `out` is resized to x.rows(). `mask` names the
-  /// EnsembleStats fields the caller will read (see StatsField): a
-  /// vote-entropy detection never reads sum_entropy, a prediction-only
-  /// score() request reads nothing but votes1, and the engine may skip
-  /// the per-member work feeding an unselected field entirely. Selected
+  /// Ensemble statistics for every raw-feature row of `x`, accumulated in
+  /// member order — bit-identical to the reference member-by-member path
+  /// (UncertaintyEstimator::reference_stats). Parallelised over `pool`
+  /// when given; `out` is resized to x.rows(). Throws InvalidArgument
+  /// when x.cols() != n_features(). `mask` names the EnsembleStats
+  /// fields the caller will read (see StatsField): a vote-entropy
+  /// detection never reads sum_entropy, a prediction-only score()
+  /// request reads nothing but votes1, and the engine may skip the
+  /// per-member work feeding an unselected field entirely. Selected
   /// fields are bit-identical to a kStatsAll computation.
   virtual void stats_batch(const Matrix& x, ThreadPool* pool,
                            std::vector<EnsembleStats>& out,

@@ -349,9 +349,8 @@ TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
 
 void save_model(const UntrustedHmd& hmd, const std::string& path,
                 bool section_checksums) {
-  HMD_REQUIRE(hmd.uses_flat_engine(),
-              "save_model: detector has no compiled engine");
-
+  // engine() throws on an unfitted detector, before any file is touched.
+  static_cast<void>(hmd.engine());
   const std::filesystem::path fs_path(path);
   if (fs_path.has_parent_path()) {
     std::filesystem::create_directories(fs_path.parent_path());

@@ -126,7 +126,7 @@ enum class LoadMode {
 };
 
 /// Persist a fitted detector (config + scaler + compiled engine) to
-/// `path`. The detector must be using a flat engine. `section_checksums`
+/// `path`. Throws InvalidArgument on an unfitted detector. `section_checksums`
 /// selects the checksummed table (false reproduces the pre-checksum
 /// layout for migration tests and the checksum-vs-walk bench). Writes
 /// are atomic and durable (see header).

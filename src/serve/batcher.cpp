@@ -126,7 +126,7 @@ void MicroBatcher::flush_queue(Queue& q, FlushWhy why) {
     fail_queue(q, wire::ErrorCode::kUnknownModel, e.what());
     return;
   }
-  if (hmd->uses_flat_engine() && hmd->engine().n_features() != q.cols) {
+  if (hmd->engine().n_features() != q.cols) {
     fail_queue(q, wire::ErrorCode::kShapeMismatch,
                "model expects " +
                    std::to_string(hmd->engine().n_features()) +

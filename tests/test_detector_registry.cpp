@@ -74,8 +74,8 @@ TEST_F(DetectorRegistryTest, AddDirectoryScansAndLazilyLoads) {
   // Both serve real traffic from one registry — two model families, one
   // process.
   const auto& x = test::small_dvfs().test.X;
-  EXPECT_EQ(rf->detect_batch(x).size(), x.rows());
-  EXPECT_EQ(lr->detect_batch(x).size(), x.rows());
+  EXPECT_EQ(test::score(*rf, x).rows, x.rows());
+  EXPECT_EQ(test::score(*lr, x).rows, x.rows());
 }
 
 TEST_F(DetectorRegistryTest, UnknownKeyThrowsAndTryGetReturnsNull) {
@@ -108,8 +108,8 @@ TEST_F(DetectorRegistryTest, RefreshHotSwapsRewrittenArtifact) {
   // The pre-swap snapshot is pinned: still the old model, still serving.
   EXPECT_EQ(before->config().n_members, 3);
   const auto& x = test::small_dvfs().test.X;
-  EXPECT_EQ(before->detect_batch(x).size(), x.rows());
-  EXPECT_EQ(after->detect_batch(x).size(), x.rows());
+  EXPECT_EQ(test::score(*before, x).rows, x.rows());
+  EXPECT_EQ(test::score(*after, x).rows, x.rows());
 
   // A second refresh with no further writes is a no-op.
   EXPECT_TRUE(registry.refresh().empty());
@@ -283,7 +283,7 @@ TEST_F(DetectorRegistryTest, ConcurrentGetAndRefreshStress) {
         const auto hmd = registry.get(keys[static_cast<std::size_t>(i)]);
         ASSERT_NE(hmd, nullptr);
         // Serve a real (tiny) batch so a torn swap would be observable.
-        ASSERT_EQ(hmd->detect_batch(x).size(), x.rows());
+        ASSERT_EQ(test::score(*hmd, x).rows, x.rows());
       }
     });
   }

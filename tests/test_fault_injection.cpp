@@ -552,7 +552,7 @@ TEST_F(FaultInjectionTest, BitFlippedReplacementNeverGetsServed) {
                                         /*quarantine_after=*/0));
   const auto before = registry.get("model");
   const auto& x = test::small_dvfs().test.X;
-  const auto want = before->detect_batch(x);
+  const api::ScoreResult want = test::score(*before, x);
 
   // Republish with one flipped engine bit. The checksum rejects it
   // (persistent: no retry), the old snapshot keeps serving identical
@@ -564,12 +564,7 @@ TEST_F(FaultInjectionTest, BitFlippedReplacementNeverGetsServed) {
   EXPECT_TRUE(registry.refresh().empty());
   const auto still = registry.get("model");
   EXPECT_EQ(still.get(), before.get());
-  const auto got = still->detect_batch(x);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    EXPECT_EQ(got[r].prediction, want[r].prediction);
-    EXPECT_EQ(got[r].score, want[r].score);
-  }
+  EXPECT_TRUE(api::bit_identical(test::score(*still, x), want));
   EXPECT_EQ(registry.health("model").last_error_code,
             LoadErrorCode::kChecksum);
 

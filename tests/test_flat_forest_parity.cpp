@@ -1,13 +1,13 @@
-// Golden parity suite: the flat struct-of-arrays engine (per-sample and
-// batched, stump-specialised and general trees alike) must be bit-identical
-// to the reference pointer-tree path — predictions, vote counts, summed
-// probabilities, and every entropy — across both dataset bundles and
-// ensemble sizes M in {1, 5, 100}.
+// Golden parity suite: the flat struct-of-arrays engine (stump-specialised
+// and general trees alike), as score() serves it, must be bit-identical to
+// the reference pointer-tree path — vote counts, summed probabilities,
+// summed entropies and every uncertainty score — across both dataset
+// bundles and ensemble sizes M in {1, 5, 100}.
 //
 // The JitParity suite extends the contract one layer down: the same
 // artifact loaded with the tree-to-native JIT forced on and forced off
-// must produce bit-identical ScoreResults for every wrapper-suite
-// OutputMask, every uncertainty mode, both bundles, M in {1, 5, 100}, a
+// must produce bit-identical ScoreResults for the preset OutputMasks and
+// every single-column mask, every uncertainty mode, both bundles, M in {1, 5, 100}, a
 // randomised deep-tree artifact, and NaN-bearing inputs (the JIT's
 // compare encodings must descend right on NaN exactly like the
 // interpreter). On targets without the JIT both loads fall back to the
@@ -48,60 +48,34 @@ void expect_parity(const data::DatasetBundle& bundle, int members) {
   SCOPED_TRACE(bundle.name + " M=" + std::to_string(members));
   core::TrustedHmd hmd(config_for(members));
   hmd.fit(bundle.train);
-  ASSERT_TRUE(hmd.uses_flat_engine());
 
   const core::UncertaintyEstimator reference(
       core::EnsembleView::of(hmd.ensemble()));
 
+  // The served path's sufficient statistics vs the member-by-member
+  // reference: bit-identical (kEstimateOutputs demands every field).
   const Matrix& x = bundle.test.X;
-  const auto detections = hmd.detect_batch(x);
-  const auto estimates = hmd.estimate_batch(x);
-  ASSERT_EQ(detections.size(), x.rows());
-  ASSERT_EQ(estimates.size(), x.rows());
-
+  const api::ScoreResult result = test::score(hmd, x, api::kEstimateOutputs);
+  ASSERT_EQ(result.stats.size(), x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     SCOPED_TRACE("row " + std::to_string(r));
     const core::EnsembleStats ref = reference.reference_stats(x.row(r));
-    const core::EnsembleStats flat = hmd.flat_forest().stats_one(x.row(r));
-
-    // Per-sample flat engine vs member-by-member reference: bit-identical.
-    EXPECT_EQ(flat.votes1, ref.votes1);
-    EXPECT_EQ(flat.sum_p1, ref.sum_p1);
-    EXPECT_EQ(flat.sum_entropy, ref.sum_entropy);
-
-    // Batched vs per-sample: identical detections...
-    const core::Detection one = hmd.detect(x.row(r));
-    EXPECT_EQ(detections[r].prediction, one.prediction);
-    EXPECT_EQ(detections[r].confidence, one.confidence);
-    EXPECT_EQ(detections[r].score, one.score);
-    EXPECT_EQ(detections[r].trusted, one.trusted);
-
-    // ...and identical full estimates, entropy by entropy.
-    const core::Estimate estimate = hmd.estimate(x.row(r));
-    EXPECT_EQ(estimates[r].prediction, estimate.prediction);
-    EXPECT_EQ(estimates[r].votes_malware, estimate.votes_malware);
-    EXPECT_EQ(estimates[r].vote_entropy, estimate.vote_entropy);
-    EXPECT_EQ(estimates[r].soft_entropy, estimate.soft_entropy);
-    EXPECT_EQ(estimates[r].expected_entropy, estimate.expected_entropy);
-    EXPECT_EQ(estimates[r].mutual_information, estimate.mutual_information);
-    EXPECT_EQ(estimates[r].variation_ratio, estimate.variation_ratio);
-    EXPECT_EQ(estimates[r].max_probability, estimate.max_probability);
-    EXPECT_EQ(estimates[r].score, estimate.score);
-    EXPECT_EQ(estimates[r].trusted, estimate.trusted);
-
-    // Prediction / vote parity against the raw reference ensemble.
-    EXPECT_EQ(estimates[r].votes_malware, ref.votes1);
-    EXPECT_EQ(detections[r].prediction, 2 * ref.votes1 > members ? 1 : 0);
+    EXPECT_EQ(result.stats[r].votes1, ref.votes1);
+    EXPECT_EQ(result.stats[r].sum_p1, ref.sum_p1);
+    EXPECT_EQ(result.stats[r].sum_entropy, ref.sum_entropy);
+    EXPECT_EQ(result.votes[r], ref.votes1);
+    EXPECT_EQ(result.prediction[r], 2 * ref.votes1 > members ? 1 : 0);
   }
 
-  // Score sweep over every mode, flat batched vs reference per-sample.
+  // Score sweep over every mode, served batch vs reference per-sample.
   for (const auto mode :
        {core::UncertaintyMode::kVoteEntropy, core::UncertaintyMode::kSoftEntropy,
         core::UncertaintyMode::kExpectedEntropy,
         core::UncertaintyMode::kMutualInformation,
         core::UncertaintyMode::kVariationRatio,
         core::UncertaintyMode::kMaxProbability}) {
-    const auto flat_scores = hmd.scores(x, mode);
+    const auto flat_scores =
+        test::score(hmd, x, api::kOutScore, mode).score;
     const auto ref_scores = reference.scores(x, mode);
     ASSERT_EQ(flat_scores.size(), ref_scores.size());
     for (std::size_t r = 0; r < flat_scores.size(); ++r) {
@@ -147,14 +121,8 @@ TEST(FlatForestParity, BatchIsDeterministicAcrossThreadCounts) {
   core::TrustedHmd threaded(config_for(40, 3));
   serial.fit(bundle.train);
   threaded.fit(bundle.train);
-  const auto a = serial.estimate_batch(bundle.test.X);
-  const auto b = threaded.estimate_batch(bundle.test.X);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    EXPECT_EQ(a[r].votes_malware, b[r].votes_malware);
-    EXPECT_EQ(a[r].vote_entropy, b[r].vote_entropy);
-    EXPECT_EQ(a[r].soft_entropy, b[r].soft_entropy);
-  }
+  EXPECT_TRUE(api::bit_identical(test::score(serial, bundle.test.X),
+                                 test::score(threaded, bundle.test.X)));
 }
 
 /// Restores the process-wide JIT policy on scope exit, so a failing test
@@ -170,10 +138,10 @@ core::TrustedHmd load_with_policy(const std::string& path, jit::Policy p) {
   return core::load_model(path, /*n_threads=*/1);
 }
 
-/// Every OutputMask the wrapper suite exercises: the three presets plus
-/// each column bit on its own (a single-column request drives the
-/// narrowest StatsMask through the kernel table).
-const std::vector<api::OutputMask>& wrapper_masks() {
+/// The preset OutputMasks plus each column bit on its own (a
+/// single-column request drives the narrowest StatsMask through the
+/// kernel table).
+const std::vector<api::OutputMask>& parity_masks() {
   static const std::vector<api::OutputMask> masks = [] {
     std::vector<api::OutputMask> out = {
         api::kPredictionOnly, api::kPredictionOnly | api::kOutTrusted,
@@ -184,25 +152,9 @@ const std::vector<api::OutputMask>& wrapper_masks() {
   return masks;
 }
 
-void expect_identical_results(const api::ScoreResult& jit,
-                              const api::ScoreResult& arena) {
-  ASSERT_EQ(jit.rows, arena.rows);
-  EXPECT_EQ(jit.prediction, arena.prediction);
-  EXPECT_EQ(jit.confidence, arena.confidence);
-  EXPECT_EQ(jit.votes, arena.votes);
-  EXPECT_EQ(jit.vote_entropy, arena.vote_entropy);
-  EXPECT_EQ(jit.soft_entropy, arena.soft_entropy);
-  EXPECT_EQ(jit.expected_entropy, arena.expected_entropy);
-  EXPECT_EQ(jit.mutual_information, arena.mutual_information);
-  EXPECT_EQ(jit.variation_ratio, arena.variation_ratio);
-  EXPECT_EQ(jit.max_probability, arena.max_probability);
-  EXPECT_EQ(jit.score, arena.score);
-  EXPECT_EQ(jit.trusted, arena.trusted);
-}
-
 /// Round-trip one detector through an artifact, load it twice (JIT forced
 /// on / forced off), and demand bit-identical score() columns for every
-/// wrapper mask and every uncertainty mode over `x`.
+/// parity mask and every uncertainty mode over `x`.
 void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
                        const std::string& tag) {
   const auto dir = test::unique_temp_dir("jit_parity_" + tag);
@@ -223,13 +175,13 @@ void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
   request.x = &x;
   api::ScoreResult jit_result;
   api::ScoreResult arena_result;
-  for (const api::OutputMask mask : wrapper_masks()) {
+  for (const api::OutputMask mask : parity_masks()) {
     SCOPED_TRACE(tag + " mask=" + std::to_string(mask));
     request.outputs = mask;
     request.mode.reset();
     jitted.score(request, jit_result);
     arena.score(request, arena_result);
-    expect_identical_results(jit_result, arena_result);
+    EXPECT_TRUE(api::bit_identical(jit_result, arena_result));
   }
   request.outputs = api::kDetectionOutputs;
   for (const auto mode :
@@ -242,7 +194,7 @@ void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
     request.mode = mode;
     jitted.score(request, jit_result);
     arena.score(request, arena_result);
-    expect_identical_results(jit_result, arena_result);
+    EXPECT_TRUE(api::bit_identical(jit_result, arena_result));
   }
   std::filesystem::remove_all(dir);
 }
@@ -298,9 +250,8 @@ TEST(JitParity, RandomisedDeepTreesWithNaNInputs) {
 }
 
 TEST(FlatForestParity, EveryModelKindReportsAFlatEngineTruthfully) {
-  // Since the pluggable-engine refactor no ModelKind falls back to the
-  // per-member pointer path: trees compile to FlatForestEngine, linear
-  // ensembles to FlatLinearEngine, and uses_flat_engine() must say so.
+  // Every ModelKind compiles to a flat engine: trees to FlatForestEngine,
+  // linear ensembles to FlatLinearEngine, and engine() must say which.
   for (const auto kind :
        {core::ModelKind::kRandomForest, core::ModelKind::kBaggedLogistic,
         core::ModelKind::kBaggedSvm}) {
@@ -309,7 +260,6 @@ TEST(FlatForestParity, EveryModelKindReportsAFlatEngineTruthfully) {
     config.model = kind;
     core::TrustedHmd hmd(config);
     hmd.fit(test::small_dvfs().train);
-    EXPECT_TRUE(hmd.uses_flat_engine());
     EXPECT_EQ(hmd.engine().n_members(), 10u);
     const bool is_tree = kind == core::ModelKind::kRandomForest;
     EXPECT_EQ(hmd.engine().engine_id() == core::EngineId::kFlatForest,

@@ -405,7 +405,7 @@ TEST_F(FleetRegistryTest, RemoveUnregistersButSnapshotsSurvive) {
 
   // The held snapshot is a lease on the old version: still scores.
   const auto& x = test::small_dvfs().test.X;
-  EXPECT_EQ(snapshot->detect_batch(x).size(), x.rows());
+  EXPECT_EQ(test::score(*snapshot, x).rows, x.rows());
 }
 
 TEST_F(FleetRegistryTest, KeyChurnTriggersFilterRebuild) {
@@ -474,15 +474,8 @@ TEST_F(FleetRegistryTest, ResidencyBudgetEvictsColdestAndReloadsBitIdentical) {
   // An evicted key transparently reloads on next get(), bit-identical to
   // the unbounded registry serving the same artifact.
   const auto& x = test::small_dvfs().test.X;
-  const auto want = unbounded.get("m0")->estimate_batch(x);
-  const auto got = registry.get("m0")->estimate_batch(x);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    ASSERT_EQ(want[r].prediction, got[r].prediction);
-    ASSERT_EQ(want[r].votes_malware, got[r].votes_malware);
-    ASSERT_EQ(want[r].score, got[r].score);
-    ASSERT_EQ(want[r].soft_entropy, got[r].soft_entropy);
-  }
+  EXPECT_TRUE(api::bit_identical(test::score(*registry.get("m0"), x),
+                                 test::score(*unbounded.get("m0"), x)));
   EXPECT_EQ(registry.health("m0").loads_ok, 2u);  // initial + post-evict
 }
 
@@ -509,7 +502,7 @@ TEST_F(FleetRegistryTest, LeasePinnedSnapshotSurvivesEviction) {
 
   // The lease keeps serving bit-stable outputs throughout.
   const auto& x = test::small_dvfs().test.X;
-  EXPECT_EQ(pinned->detect_batch(x).size(), x.rows());
+  EXPECT_EQ(test::score(*pinned, x).rows, x.rows());
 }
 
 TEST_F(FleetRegistryTest, QuarantinedEntryIsEvictableAndKeepsCachedError) {

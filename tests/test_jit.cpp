@@ -229,7 +229,7 @@ TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {
   jit::set_policy(jit::Policy::kOff);
   const core::TrustedHmd reference =
       core::load_model((dir / "m0.hmdf").string(), /*n_threads=*/1);
-  const auto expected = reference.estimate_batch(bundle.test.X);
+  const api::ScoreResult expected = test::score(reference, bundle.test.X);
 
   jit::set_policy(jit::Policy::kOn);
   api::DetectorRegistry registry(/*n_threads=*/1);
@@ -244,13 +244,9 @@ TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {
       threads.emplace_back([&, t] {
         for (int k = 0; k < kKeys; ++k) {
           const auto hmd = registry.get(model_key(k % kKeys));
-          const auto got = hmd->estimate_batch(bundle.test.X);
-          for (std::size_t r = 0; r < got.size(); ++r) {
-            if (got[r].votes_malware != expected[r].votes_malware ||
-                got[r].soft_entropy != expected[r].soft_entropy ||
-                got[r].score != expected[r].score) {
-              ++mismatches[t];
-            }
+          if (!api::bit_identical(test::score(*hmd, bundle.test.X),
+                                  expected)) {
+            ++mismatches[t];
           }
         }
       });

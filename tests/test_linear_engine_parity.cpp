@@ -1,10 +1,10 @@
 // Golden parity suite for the flat linear engine: bagged LR and SVM
 // detectors compiled into the M×d weight-matrix engine must be
 // bit-identical to the reference member path (standardise, then query
-// members one by one, then accumulate in member order) — per-sample and
-// batched, across both dataset bundles and ensemble sizes M in {1, 5,
-// 100}. This is the contract that lets detect_batch/estimate_batch route
-// linear models through the flat engine with no per-member fallback.
+// members one by one, then accumulate in member order) as score() serves
+// them, across both dataset bundles and ensemble sizes M in {1, 5, 100}.
+// This is the contract that lets linear models serve through the flat
+// engine with no per-member fallback.
 
 #include <gtest/gtest.h>
 
@@ -32,57 +32,30 @@ void expect_linear_parity(const data::DatasetBundle& bundle,
                " M=" + std::to_string(members));
   core::TrustedHmd hmd(config_for(kind, members));
   hmd.fit(bundle.train);
-  ASSERT_TRUE(hmd.uses_flat_engine());
   ASSERT_EQ(hmd.engine().engine_id(), core::EngineId::kFlatLinear);
 
-  // The reference member path queries members with *standardised* rows,
-  // exactly like the pre-engine fallback did.
+  // The reference member path queries members with *standardised* rows;
+  // the engine takes raw rows and standardises internally.
   const core::UncertaintyEstimator reference(
       core::EnsembleView::of(hmd.ensemble()));
   const Matrix& x = bundle.test.X;
   const Matrix scaled = hmd.input_scaler().transform(x);
 
-  const auto detections = hmd.detect_batch(x);
-  const auto estimates = hmd.estimate_batch(x);
-  ASSERT_EQ(detections.size(), x.rows());
-  ASSERT_EQ(estimates.size(), x.rows());
-
+  // The served path's sufficient statistics vs the member-by-member
+  // reference: bit-identical (kEstimateOutputs demands every field).
+  const api::ScoreResult result = test::score(hmd, x, api::kEstimateOutputs);
+  ASSERT_EQ(result.stats.size(), x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     SCOPED_TRACE("row " + std::to_string(r));
     const core::EnsembleStats ref = reference.reference_stats(scaled.row(r));
-    const core::EnsembleStats flat = hmd.engine().stats_one(x.row(r));
-
-    // Per-sample engine vs member-by-member reference: bit-identical.
-    EXPECT_EQ(flat.votes1, ref.votes1);
-    EXPECT_EQ(flat.sum_p1, ref.sum_p1);
-    EXPECT_EQ(flat.sum_entropy, ref.sum_entropy);
-
-    // Batched vs per-sample: identical detections...
-    const core::Detection one = hmd.detect(x.row(r));
-    EXPECT_EQ(detections[r].prediction, one.prediction);
-    EXPECT_EQ(detections[r].confidence, one.confidence);
-    EXPECT_EQ(detections[r].score, one.score);
-    EXPECT_EQ(detections[r].trusted, one.trusted);
-
-    // ...and identical full estimates, entropy by entropy.
-    const core::Estimate estimate = hmd.estimate(x.row(r));
-    EXPECT_EQ(estimates[r].prediction, estimate.prediction);
-    EXPECT_EQ(estimates[r].votes_malware, estimate.votes_malware);
-    EXPECT_EQ(estimates[r].vote_entropy, estimate.vote_entropy);
-    EXPECT_EQ(estimates[r].soft_entropy, estimate.soft_entropy);
-    EXPECT_EQ(estimates[r].expected_entropy, estimate.expected_entropy);
-    EXPECT_EQ(estimates[r].mutual_information, estimate.mutual_information);
-    EXPECT_EQ(estimates[r].variation_ratio, estimate.variation_ratio);
-    EXPECT_EQ(estimates[r].max_probability, estimate.max_probability);
-    EXPECT_EQ(estimates[r].score, estimate.score);
-    EXPECT_EQ(estimates[r].trusted, estimate.trusted);
-
-    // Prediction / vote parity against the raw reference ensemble.
-    EXPECT_EQ(estimates[r].votes_malware, ref.votes1);
-    EXPECT_EQ(detections[r].prediction, 2 * ref.votes1 > members ? 1 : 0);
+    EXPECT_EQ(result.stats[r].votes1, ref.votes1);
+    EXPECT_EQ(result.stats[r].sum_p1, ref.sum_p1);
+    EXPECT_EQ(result.stats[r].sum_entropy, ref.sum_entropy);
+    EXPECT_EQ(result.votes[r], ref.votes1);
+    EXPECT_EQ(result.prediction[r], 2 * ref.votes1 > members ? 1 : 0);
   }
 
-  // Score sweep over every mode (entropy-needing and not), flat batched
+  // Score sweep over every mode (entropy-needing and not), served batch
   // vs reference per-sample.
   for (const auto mode :
        {core::UncertaintyMode::kVoteEntropy,
@@ -91,7 +64,8 @@ void expect_linear_parity(const data::DatasetBundle& bundle,
         core::UncertaintyMode::kMutualInformation,
         core::UncertaintyMode::kVariationRatio,
         core::UncertaintyMode::kMaxProbability}) {
-    const auto flat_scores = hmd.scores(x, mode);
+    const auto flat_scores =
+        test::score(hmd, x, api::kOutScore, mode).score;
     const auto ref_scores = reference.scores(scaled, mode);
     ASSERT_EQ(flat_scores.size(), ref_scores.size());
     for (std::size_t r = 0; r < flat_scores.size(); ++r) {
@@ -140,15 +114,8 @@ TEST(FlatLinearParity, BatchIsDeterministicAcrossThreadCounts) {
   core::TrustedHmd three(threaded_config);
   one.fit(bundle.train);
   three.fit(bundle.train);
-  const auto a = one.estimate_batch(bundle.test.X);
-  const auto b = three.estimate_batch(bundle.test.X);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    EXPECT_EQ(a[r].votes_malware, b[r].votes_malware);
-    EXPECT_EQ(a[r].vote_entropy, b[r].vote_entropy);
-    EXPECT_EQ(a[r].soft_entropy, b[r].soft_entropy);
-    EXPECT_EQ(a[r].expected_entropy, b[r].expected_entropy);
-  }
+  EXPECT_TRUE(api::bit_identical(test::score(one, bundle.test.X),
+                                 test::score(three, bundle.test.X)));
 }
 
 TEST(FlatLinearParity, SvmMembersCarryPlattCoefficients) {

@@ -1,6 +1,6 @@
 // Model artifact (.hmdf): a saved detector must reload as a serving-only
-// detector — no ml::Bagging on the path — emitting bit-identical
-// Detections and Estimates; corrupt, truncated, or version-mismatched
+// detector — no ml::Bagging on the path — scoring every output column
+// bit-identically; corrupt, truncated, or version-mismatched
 // artifacts must be rejected loudly, never misread — with the same
 // LoadErrorCode whichever LoadMode materialises the bytes. The zero-copy
 // layout adds: mmap-loaded and buffer-read engines are bit-identical to
@@ -88,32 +88,8 @@ class ModelArtifactTest : public ::testing::Test {
 void expect_bit_identical_outputs(const core::TrustedHmd& trained,
                                   const core::TrustedHmd& served,
                                   const Matrix& x) {
-  const auto want_d = trained.detect_batch(x);
-  const auto got_d = served.detect_batch(x);
-  const auto want_e = trained.estimate_batch(x);
-  const auto got_e = served.estimate_batch(x);
-  ASSERT_EQ(got_d.size(), want_d.size());
-  ASSERT_EQ(got_e.size(), want_e.size());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    SCOPED_TRACE("row " + std::to_string(r));
-    EXPECT_EQ(got_d[r].prediction, want_d[r].prediction);
-    EXPECT_EQ(got_d[r].confidence, want_d[r].confidence);
-    EXPECT_EQ(got_d[r].score, want_d[r].score);
-    EXPECT_EQ(got_d[r].trusted, want_d[r].trusted);
-    EXPECT_EQ(got_e[r].votes_malware, want_e[r].votes_malware);
-    EXPECT_EQ(got_e[r].vote_entropy, want_e[r].vote_entropy);
-    EXPECT_EQ(got_e[r].soft_entropy, want_e[r].soft_entropy);
-    EXPECT_EQ(got_e[r].expected_entropy, want_e[r].expected_entropy);
-    EXPECT_EQ(got_e[r].mutual_information, want_e[r].mutual_information);
-    EXPECT_EQ(got_e[r].variation_ratio, want_e[r].variation_ratio);
-    EXPECT_EQ(got_e[r].max_probability, want_e[r].max_probability);
-
-    // Per-sample serving path too, not just batches.
-    const auto one_want = trained.detect(x.row(r));
-    const auto one_got = served.detect(x.row(r));
-    EXPECT_EQ(one_got.prediction, one_want.prediction);
-    EXPECT_EQ(one_got.score, one_want.score);
-  }
+  EXPECT_TRUE(
+      api::bit_identical(test::score(served, x), test::score(trained, x)));
 }
 
 TEST_F(ModelArtifactTest, RoundTripIsBitIdenticalForEveryModelKind) {
@@ -128,7 +104,6 @@ TEST_F(ModelArtifactTest, RoundTripIsBitIdenticalForEveryModelKind) {
     // The load path reconstructs the engine directly from the blob: no
     // reference ensemble (and no training objects) exist behind it.
     EXPECT_FALSE(served.has_ensemble());
-    EXPECT_TRUE(served.uses_flat_engine());
     EXPECT_THROW(served.ensemble(), InvalidArgument);
     EXPECT_EQ(served.config().n_members, trained.config().n_members);
     EXPECT_EQ(served.config().model, trained.config().model);
@@ -312,14 +287,21 @@ TEST_F(ModelArtifactTest, MappedDetectorSurvivesRenamePublishedSwap) {
 }
 
 TEST_F(ModelArtifactTest, ServedDetectorRejectsWrongWidthInputs) {
-  // A DVFS-trained forest (14 features) must refuse HPC rows (8
-  // features) instead of reading out of bounds.
-  core::save_model(train(core::ModelKind::kRandomForest), path_);
-  const core::TrustedHmd served = core::load_model(path_);
-  EXPECT_THROW(served.detect_batch(test::small_hpc().test.X),
-               InvalidArgument);
-  EXPECT_THROW(served.detect(test::small_hpc().test.X.row(0)),
-               InvalidArgument);
+  // A DVFS-trained detector (14 features) must refuse HPC rows (8
+  // features) instead of reading out of bounds — every engine, every
+  // mask (prediction-only takes the narrowest kernels).
+  for (const auto kind :
+       {core::ModelKind::kRandomForest, core::ModelKind::kBaggedLogistic,
+        core::ModelKind::kBaggedSvm}) {
+    SCOPED_TRACE(core::model_kind_name(kind));
+    core::save_model(train(kind, 5), path_);
+    const core::TrustedHmd served = core::load_model(path_);
+    for (const api::OutputMask mask :
+         {api::kPredictionOnly, test::kAllOutputs}) {
+      EXPECT_THROW(test::score(served, test::small_hpc().test.X, mask),
+                   InvalidArgument);
+    }
+  }
 }
 
 TEST_F(ModelArtifactTest, TruncatedArtifactThrowsEverywhere) {

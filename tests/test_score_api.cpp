@@ -1,14 +1,14 @@
-// The unified score() spine (api/score.h): wrapper parity (the legacy
-// detect/estimate/scores surface must be bit-identical through the new
-// path), OutputMask semantics (selected columns exact, unselected columns
-// empty, minimal engine StatsMask), per-request mode override, the
-// steady-state no-allocation contract, multi-thread determinism of
-// score()/stats_batch at widths 1/2/4, and the parse_model_kind
-// round-trip.
+// The unified score() spine (api/score.h): the OutputMask contract (every
+// selected column bit-identical to the same column of a full request,
+// every unselected column empty, with and without a per-request mode
+// override), the minimal engine StatsMask, the steady-state no-allocation
+// contract, multi-thread determinism of score()/stats_batch at widths
+// 1/2/4, and the parse_model_kind round-trip.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,81 +43,108 @@ core::TrustedHmd fitted(const data::DatasetBundle& bundle, ModelKind kind,
   return hmd;
 }
 
-TEST(ScoreApiTest, DetectionMaskMatchesDetectBatch) {
-  for (const auto* bundle : {&test::small_dvfs(), &test::small_hpc()}) {
-    for (const ModelKind kind : kAllKinds) {
-      const core::TrustedHmd hmd = fitted(*bundle, kind);
-      const Matrix& x = bundle->test.X;
-      const auto detections = hmd.detect_batch(x);
-
-      api::ScoreRequest request;
-      request.x = &x;
-      request.outputs = api::kDetectionOutputs;
-      api::ScoreResult result;
-      hmd.score(request, result);
-
-      ASSERT_EQ(result.rows, x.rows());
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_EQ(result.prediction[r], detections[r].prediction);
-        EXPECT_EQ(result.confidence[r], detections[r].confidence);
-        EXPECT_EQ(result.score[r], detections[r].score);
-        EXPECT_EQ(result.trusted[r] != 0, detections[r].trusted);
-      }
-      // Unselected columns are empty, not stale.
-      EXPECT_TRUE(result.votes.empty());
-      EXPECT_TRUE(result.soft_entropy.empty());
-      EXPECT_TRUE(result.mutual_information.empty());
-    }
+/// The ScoreResult column holding the uncertainty quantity `mode`.
+const std::vector<double>& mode_column(const api::ScoreResult& result,
+                                       UncertaintyMode mode) {
+  switch (mode) {
+    case UncertaintyMode::kVoteEntropy: return result.vote_entropy;
+    case UncertaintyMode::kSoftEntropy: return result.soft_entropy;
+    case UncertaintyMode::kExpectedEntropy: return result.expected_entropy;
+    case UncertaintyMode::kMutualInformation:
+      return result.mutual_information;
+    case UncertaintyMode::kVariationRatio: return result.variation_ratio;
+    case UncertaintyMode::kMaxProbability: return result.max_probability;
   }
+  throw InvalidArgument("mode_column: bad mode");
 }
 
-TEST(ScoreApiTest, EstimateMaskMatchesEstimateBatch) {
+const std::optional<UncertaintyMode> kNoOverride[] = {std::nullopt};
+const std::optional<UncertaintyMode> kEveryMode[] = {
+    std::nullopt,
+    UncertaintyMode::kVoteEntropy,
+    UncertaintyMode::kSoftEntropy,
+    UncertaintyMode::kExpectedEntropy,
+    UncertaintyMode::kMutualInformation,
+    UncertaintyMode::kVariationRatio,
+    UncertaintyMode::kMaxProbability};
+
+/// The mask contract, for every bundle and ModelKind: under each mode in
+/// `modes` (nullopt = the configured one), every mask in `masks` yields
+/// the selected columns of one full request bit-for-bit and leaves every
+/// unselected column empty; the full request's score column is the mode's
+/// own column and its trust flag is score <= threshold.
+template <std::size_t N>
+void expect_masks_match_full_request(
+    const std::vector<api::OutputMask>& masks,
+    const std::optional<UncertaintyMode> (&modes)[N]) {
   for (const auto* bundle : {&test::small_dvfs(), &test::small_hpc()}) {
     for (const ModelKind kind : kAllKinds) {
       const core::TrustedHmd hmd = fitted(*bundle, kind);
       const Matrix& x = bundle->unknown.X;
-      const auto estimates = hmd.estimate_batch(x);
+      for (const auto& mode : modes) {
+        SCOPED_TRACE(bundle->name + " " + core::model_kind_name(kind) +
+                     " mode=" +
+                     (mode ? core::uncertainty_mode_name(*mode) : "config"));
+        const api::ScoreResult full =
+            test::score(hmd, x, test::kAllOutputs, mode);
+        ASSERT_EQ(full.rows, x.rows());
+        // The override picks which quantity kOutScore / kOutTrusted carry.
+        EXPECT_EQ(full.score,
+                  mode_column(full, mode.value_or(hmd.config().mode)));
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+          EXPECT_EQ(full.trusted[r] != 0,
+                    full.score[r] <= hmd.config().entropy_threshold);
+        }
 
-      api::ScoreRequest request;
-      request.x = &x;
-      request.outputs = api::kEstimateOutputs;
-      api::ScoreResult result;
-      hmd.score(request, result);
-
-      ASSERT_EQ(result.rows, x.rows());
-      for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_EQ(result.prediction[r], estimates[r].prediction);
-        EXPECT_EQ(result.votes[r], estimates[r].votes_malware);
-        EXPECT_EQ(result.vote_entropy[r], estimates[r].vote_entropy);
-        EXPECT_EQ(result.soft_entropy[r], estimates[r].soft_entropy);
-        EXPECT_EQ(result.expected_entropy[r], estimates[r].expected_entropy);
-        EXPECT_EQ(result.mutual_information[r],
-                  estimates[r].mutual_information);
-        EXPECT_EQ(result.variation_ratio[r], estimates[r].variation_ratio);
-        EXPECT_EQ(result.max_probability[r], estimates[r].max_probability);
-        EXPECT_EQ(result.score[r], estimates[r].score);
-        EXPECT_EQ(result.trusted[r] != 0, estimates[r].trusted);
+        // One reused result across masks, so a stale column would show.
+        api::ScoreResult got;
+        for (const api::OutputMask mask : masks) {
+          SCOPED_TRACE("mask=" + std::to_string(mask));
+          hmd.score({.x = &x, .outputs = mask, .mode = mode}, got);
+          api::ScoreResult want = full;
+          want.shape(mask, full.rows);  // unselected columns emptied
+          EXPECT_TRUE(api::bit_identical(got, want));
+        }
       }
     }
   }
+}
+
+// The detection preset (prediction, confidence, score, trusted) under the
+// configured mode.
+TEST(ScoreApiTest, DetectionMaskMatchesDetectBatch) {
+  expect_masks_match_full_request({api::kDetectionOutputs}, kNoOverride);
+}
+
+// The estimate preset (every uncertainty column) under the configured
+// mode.
+TEST(ScoreApiTest, EstimateMaskMatchesEstimateBatch) {
+  expect_masks_match_full_request({api::kEstimateOutputs}, kNoOverride);
+}
+
+// A per-request mode override moves score and trust flag, alone and
+// inside both presets.
+TEST(ScoreApiTest, ModeOverrideMatchesScoresWrapper) {
+  expect_masks_match_full_request(
+      {api::kOutScore | api::kOutTrusted, api::kDetectionOutputs,
+       api::kEstimateOutputs},
+      kEveryMode);
+}
+
+// Every single-bit mask, with and without every mode override.
+TEST(ScoreApiTest, EveryMaskMatchesTheFullRequest) {
+  std::vector<api::OutputMask> masks;
+  for (std::uint32_t bit = 0; bit < 11; ++bit) masks.push_back(1u << bit);
+  expect_masks_match_full_request(masks, kEveryMode);
 }
 
 TEST(ScoreApiTest, PredictionOnlyMaskIsExactAndMinimal) {
   for (const ModelKind kind : kAllKinds) {
     const core::TrustedHmd hmd = fitted(test::small_dvfs(), kind);
     const Matrix& x = test::small_dvfs().test.X;
-    const auto detections = hmd.detect_batch(x);
+    const api::ScoreResult result = test::score(hmd, x, api::kPredictionOnly);
 
-    api::ScoreRequest request;
-    request.x = &x;
-    request.outputs = api::kPredictionOnly;
-    api::ScoreResult result;
-    hmd.score(request, result);
-
-    ASSERT_EQ(result.prediction.size(), x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      EXPECT_EQ(result.prediction[r], detections[r].prediction);
-    }
+    EXPECT_EQ(result.prediction, test::score(hmd, x).prediction);
     EXPECT_TRUE(result.confidence.empty());
     EXPECT_TRUE(result.score.empty());
     EXPECT_TRUE(result.trusted.empty());
@@ -148,32 +175,6 @@ TEST(ScoreApiTest, StatsMaskLoweringIsMinimal) {
   EXPECT_EQ(api::stats_mask_for(api::kOutScore,
                                 UncertaintyMode::kMaxProbability),
             core::kStatsVotes | core::kStatsPosterior);
-}
-
-TEST(ScoreApiTest, ModeOverrideMatchesScoresWrapper) {
-  const core::TrustedHmd hmd =
-      fitted(test::small_hpc(), ModelKind::kRandomForest);
-  const Matrix& x = test::small_hpc().unknown.X;
-  for (const auto mode :
-       {UncertaintyMode::kVoteEntropy, UncertaintyMode::kSoftEntropy,
-        UncertaintyMode::kExpectedEntropy, UncertaintyMode::kMutualInformation,
-        UncertaintyMode::kVariationRatio, UncertaintyMode::kMaxProbability}) {
-    const auto want = hmd.scores(x, mode);
-
-    api::ScoreRequest request;
-    request.x = &x;
-    request.outputs = api::kOutScore | api::kOutTrusted;
-    request.mode = mode;
-    api::ScoreResult result;
-    hmd.score(request, result);
-
-    ASSERT_EQ(result.score.size(), want.size());
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      EXPECT_EQ(result.score[r], want[r]);
-      EXPECT_EQ(result.trusted[r] != 0,
-                want[r] <= hmd.config().entropy_threshold);
-    }
-  }
 }
 
 TEST(ScoreApiTest, SteadyStateReusesBuffers) {
@@ -226,29 +227,15 @@ TEST(ScoreApiTest, ScoreIsBitIdenticalAcrossThreadWidths) {
         core::save_model(trainer, path);
       }
       const core::TrustedHmd reference = core::load_model(path, 1);
-      const auto want = reference.estimate_batch(stacked);
+      const api::ScoreResult want = test::score(reference, stacked);
       for (const int n_threads : {1, 2, 4}) {
         const core::TrustedHmd hmd = core::load_model(path, n_threads);
-        const auto got = hmd.estimate_batch(stacked);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t r = 0; r < want.size(); ++r) {
-          EXPECT_EQ(got[r].prediction, want[r].prediction);
-          EXPECT_EQ(got[r].votes_malware, want[r].votes_malware);
-          EXPECT_EQ(got[r].vote_entropy, want[r].vote_entropy);
-          EXPECT_EQ(got[r].soft_entropy, want[r].soft_entropy);
-          EXPECT_EQ(got[r].mutual_information, want[r].mutual_information);
-          EXPECT_EQ(got[r].score, want[r].score);
-        }
+        EXPECT_TRUE(api::bit_identical(test::score(hmd, stacked), want));
 
-        api::ScoreRequest request;
-        request.x = &stacked;
-        request.outputs = api::kPredictionOnly | api::kOutScore;
-        api::ScoreResult result;
-        hmd.score(request, result);
-        for (std::size_t r = 0; r < want.size(); ++r) {
-          EXPECT_EQ(result.prediction[r], want[r].prediction);
-          EXPECT_EQ(result.score[r], want[r].score);
-        }
+        const api::ScoreResult masked =
+            test::score(hmd, stacked, api::kPredictionOnly | api::kOutScore);
+        EXPECT_EQ(masked.prediction, want.prediction);
+        EXPECT_EQ(masked.score, want.score);
       }
     }
   }

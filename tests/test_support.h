@@ -1,15 +1,17 @@
 #pragma once
 // Shared fixtures: small dataset bundles built once per test binary (the
 // simulators are deterministic, so every suite sees identical data), the
-// per-test scratch directory every file-writing test uses, and the typed
-// artifact-rejection probe.
+// per-test scratch directory every file-writing test uses, the typed
+// artifact-rejection probe, and a one-call score() for assertions.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "api/score.h"
 #include "common/error.h"
 #include "core/model_artifact.h"
 #include "datasets/dvfs_dataset.h"
@@ -34,6 +36,20 @@ inline std::filesystem::path unique_temp_dir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Every ScoreResult column.
+inline constexpr api::OutputMask kAllOutputs =
+    api::kEstimateOutputs | api::kOutConfidence;
+
+/// Score every row of `x` into a fresh ScoreResult.
+inline api::ScoreResult score(
+    const core::UntrustedHmd& hmd, const Matrix& x,
+    api::OutputMask outputs = kAllOutputs,
+    std::optional<core::UncertaintyMode> mode = std::nullopt) {
+  api::ScoreResult result;
+  hmd.score({.x = &x, .outputs = outputs, .mode = mode}, result);
+  return result;
 }
 
 /// Every way load_model can materialise artifact bytes.

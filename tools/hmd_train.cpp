@@ -2,9 +2,9 @@
 //
 // Builds (or loads from cache) a dataset bundle, trains a detector, and
 // serialises it as a versioned `.hmdf` model artifact
-// (core/model_artifact.h). The artifact is then re-loaded and spot-checked
-// against the in-memory detector so a freshly written file is never
-// shipped unverified. Serving happens elsewhere (hmd_serve) with no
+// (core/model_artifact.h). The artifact is then re-loaded and every output
+// column compared bitwise against the in-memory detector, so a freshly
+// written file is never shipped unverified. Serving happens elsewhere (hmd_serve) with no
 // training code on the path.
 //
 // usage: hmd_train [--dataset=dvfs|hpc] [--model=rf|lr|svm] [--members=N]
@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <string>
 
+#include "api/score.h"
 #include "bench_common.h"
 #include "common/args.h"
 #include "common/error.h"
@@ -163,33 +164,29 @@ int run(TrainArgs args) {
   std::printf("saved    %s: %ju bytes in %.2f ms\n", args.out.c_str(),
               static_cast<std::uintmax_t>(bytes), save_ms);
 
-  // Never ship an unverified artifact: reload and demand bit-identical
-  // outputs on the held-out split.
+  // Never ship an unverified artifact: reload and demand every output
+  // column bit-identical on the held-out split.
   start = clock_type::now();
   const core::TrustedHmd served = core::load_model(args.out);
   const double load_ms = ms_since(start);
-  const auto want = hmd.estimate_batch(bundle.test.X);
-  const auto got = served.estimate_batch(bundle.test.X);
-  std::size_t mismatches = 0;
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    if (want[r].prediction != got[r].prediction ||
-        want[r].votes_malware != got[r].votes_malware ||
-        want[r].score != got[r].score ||
-        want[r].soft_entropy != got[r].soft_entropy) {
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
+  const api::ScoreRequest request{
+      .x = &bundle.test.X,
+      .outputs = api::kEstimateOutputs | api::kOutConfidence};
+  api::ScoreResult want;
+  api::ScoreResult got;
+  hmd.score(request, want);
+  served.score(request, got);
+  if (!api::bit_identical(want, got)) {
     std::fprintf(stderr,
-                 "hmd_train: artifact verification FAILED: %zu of %zu "
-                 "estimates differ from the in-memory detector\n",
-                 mismatches, want.size());
+                 "hmd_train: artifact verification FAILED: estimates of "
+                 "%zu rows differ from the in-memory detector\n",
+                 want.rows);
     return 1;
   }
   std::printf("verified %s: reloaded in %.2f ms (%.0fx faster than "
               "retraining), %zu/%zu estimates bit-identical\n",
-              args.out.c_str(), load_ms, fit_ms / load_ms, want.size(),
-              want.size());
+              args.out.c_str(), load_ms, fit_ms / load_ms, want.rows,
+              want.rows);
 
   if (args.fleet > 0) {
     start = clock_type::now();
