@@ -256,27 +256,6 @@ void BM_ArtifactLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ArtifactLoad)->Arg(100)->Unit(benchmark::kMicrosecond);
 
-/// Verify-once-then-trust vs the legacy deep walk: loading a checksummed
-/// artifact verifies three section hashes (O(bytes), sequential, SIMD-
-/// friendly) and skips the O(n_nodes) structural walk; a checksum-less
-/// file must still walk every tree. range(0): 0 = checksummed,
-/// 1 = checksum-less. Uses the deep HPC forest so the walk has real work.
-void BM_ArtifactLoadChecksum(benchmark::State& state) {
-  const BigForest& forest = big_forest();
-  std::filesystem::create_directories("bench_results");
-  const std::string path = "bench_results/bm_artifact_checksum.hmdf";
-  core::save_model(forest.hmd, path,
-                   /*section_checksums=*/state.range(0) == 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::load_model(path, 1));
-  }
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_ArtifactLoadChecksum)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 /// One detection over `x` into a fresh ScoreResult: what the first
 /// request to a cold-started server pays.
 void detect_once(const core::TrustedHmd& hmd, const Matrix& x) {
@@ -575,41 +554,6 @@ ArtifactMmapTiming measure_artifact_mmap() {
   return timing;
 }
 
-/// Integrity-check cost: checksummed load (verify hashes, skip the deep
-/// walk) vs checksum-less load (full structural walk) of the same deep
-/// forest, plus save-side overhead of computing the checksums.
-struct ArtifactChecksumTiming {
-  double checksum_load_ms = 0.0;
-  double walk_load_ms = 0.0;
-  double checksum_save_ms = 0.0;
-  double plain_save_ms = 0.0;
-};
-
-ArtifactChecksumTiming measure_artifact_checksum() {
-  const BigForest& forest = big_forest();
-  std::filesystem::create_directories("bench_results");
-  const std::string path = "bench_results/latency_checksum_probe.hmdf";
-  const auto ms_per_call = [](auto&& call) {
-    return 1e3 / items_per_sec(1, call, /*min_seconds=*/0.2);
-  };
-
-  ArtifactChecksumTiming timing;
-  timing.checksum_save_ms = ms_per_call([&] {
-    core::save_model(forest.hmd, path);
-  });
-  timing.checksum_load_ms = ms_per_call([&] {
-    benchmark::DoNotOptimize(core::load_model(path, 1));
-  });
-  timing.plain_save_ms = ms_per_call([&] {
-    core::save_model(forest.hmd, path, /*section_checksums=*/false);
-  });
-  timing.walk_load_ms = ms_per_call([&] {
-    benchmark::DoNotOptimize(core::load_model(path, 1));
-  });
-  std::filesystem::remove(path);
-  return timing;
-}
-
 /// Tree-to-native JIT vs the interpreted arena, per artifact scale. Each
 /// row trains an RF, publishes it as a .hmdf, loads it twice from the
 /// same bytes — policy off (interpreted arena kernels) and policy on
@@ -861,7 +805,6 @@ void write_summary_json(const char* path) {
   const RegistryTiming registry = measure_registry(100);
   const ArtifactTiming artifact = measure_artifact(100);
   const ArtifactMmapTiming mmap = measure_artifact_mmap();
-  const ArtifactChecksumTiming checksum = measure_artifact_checksum();
   const std::vector<JitSeriesRow> jit_rows = measure_jit_series();
   const std::vector<AccuracyTierRow> tier_rows = measure_accuracy_tier_series();
 
@@ -877,7 +820,7 @@ void write_summary_json(const char* path) {
     return;
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_latency\",\n");
-  std::fprintf(out, "  \"schema_version\": 10,\n");
+  std::fprintf(out, "  \"schema_version\": 11,\n");
   std::fprintf(out, "  \"n_train\": %zu,\n  \"n_test\": %zu,\n",
                bundle().train.size(), bundle().test.size());
   std::fprintf(out, "  \"hardware_threads\": %u,\n",
@@ -972,25 +915,6 @@ void write_summary_json(const char* path) {
                "mmap %.3f ms; map-and-serve-first-batch %.3f ms\n",
                mmap.v2_read_load_ms, mmap.v2_mmap_load_ms,
                mmap.v2_mmap_serve_ms);
-  std::fprintf(out,
-               "  \"artifact_checksum_ms\": {\"members\": 100, "
-               "\"checksum_load\": %.4f, \"walk_load\": %.4f, "
-               "\"checksum_save\": %.4f, \"plain_save\": %.4f,\n   "
-               "\"speedup_checksum_vs_walk_load\": %.2f, "
-               "\"save_overhead_pct\": %.1f},\n",
-               checksum.checksum_load_ms, checksum.walk_load_ms,
-               checksum.checksum_save_ms, checksum.plain_save_ms,
-               checksum.walk_load_ms / checksum.checksum_load_ms,
-               100.0 * (checksum.checksum_save_ms - checksum.plain_save_ms) /
-                   checksum.plain_save_ms);
-  std::fprintf(stderr,
-               "[bench_latency] RF M=100 integrity: checksummed load %.3f "
-               "ms vs deep-walk load %.3f ms (%.2fx); save overhead "
-               "%.1f%%\n",
-               checksum.checksum_load_ms, checksum.walk_load_ms,
-               checksum.walk_load_ms / checksum.checksum_load_ms,
-               100.0 * (checksum.checksum_save_ms - checksum.plain_save_ms) /
-                   checksum.plain_save_ms);
   // Schema v6: the tree-to-native JIT series. Entries are parity-gated —
   // a row whose native kernels were not bit-identical to the interpreted
   // arena is refused (counted in "refused", reported on stderr) rather

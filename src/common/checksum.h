@@ -5,11 +5,11 @@
 // The function is XXH64 (Yann Collet's xxHash, public-domain algorithm):
 // a non-cryptographic hash that runs at memory speed by keeping four
 // independent 64-bit lanes in flight, so verifying an artifact costs one
-// sequential sweep of its bytes — prefetcher-friendly, unlike the
-// pointer-chasing structural walk it replaces on the load path. Any
-// single-bit difference in the input changes the digest (for integrity
-// purposes; this is NOT a MAC — an adversary who can write the file can
-// recompute the hash, see the trust note in core/model_artifact.h).
+// sequential sweep of its bytes, run before the structural walk that
+// follows it on every load. Any single-bit difference in the input
+// changes the digest (for integrity purposes; this is NOT a MAC — an
+// adversary who can write the file can recompute the hash, which is why
+// the walk still runs; see the trust note in core/model_artifact.h).
 //
 // The digest is part of the on-disk format: this implementation must
 // match the reference XXH64 bit for bit forever (asserted against the

@@ -108,13 +108,6 @@ void FlatForestEngine::derive_stumps() {
       ++n_stumps_;
       continue;
     }
-    // Bounds guard rather than assumption: under a checksummed load the
-    // deep walk is skipped, and this is the only arena dereference that
-    // happens at load time — keep it in-bounds even for impossible input.
-    if (node.left <= 0 ||
-        node.left >= static_cast<std::int32_t>(nodes_.size()) - 1) {
-      continue;
-    }
     const Node& lo = nodes_[static_cast<std::size_t>(node.left)];
     const Node& hi = nodes_[static_cast<std::size_t>(node.left) + 1];
     if (lo.feature < 0 && hi.feature < 0) {
@@ -156,31 +149,27 @@ constexpr std::uint64_t kMaxFeatures = std::uint64_t{1} << 24;
 
 }  // namespace
 
-void FlatForestEngine::validate_geometry(const std::string& context,
-                                         bool deep) const {
+void FlatForestEngine::validate_geometry(const std::string& context) const {
   if (roots_.empty() || leaf_entropy_.size() != nodes_.size())
     throw LoadError(LoadErrorCode::kBadStructure, context,
                     "inconsistent flat-forest geometry");
   const auto n_nodes = static_cast<std::int32_t>(nodes_.size());
-  if (deep) {
-    // Structural validation so a corrupt arena can never be *traversed*
-    // wrong: feature indices stay inside the input row, and child links
-    // point strictly forward (the BFS re-layout guarantees this), which
-    // also guarantees every walk terminates. Checksummed loads skip this
-    // O(n_nodes) page walk — bit-level intactness is already proven, and
-    // the writer only ever serialises arenas that pass it.
-    for (std::int32_t i = 0; i < n_nodes; ++i) {
-      const Node& node = nodes_[static_cast<std::size_t>(i)];
-      if (node.feature < 0) continue;
-      if (static_cast<std::uint64_t>(node.feature) >= n_features_)
-        throw LoadError(LoadErrorCode::kBadStructure, context,
-                        "out-of-range feature index");
-      // `left >= n_nodes - 1` (not `left + 1 >= n_nodes`): a crafted arena
-      // with left == INT32_MAX must be rejected, not signed-overflow UB.
-      if (node.left <= i || node.left >= n_nodes - 1)
-        throw LoadError(LoadErrorCode::kBadStructure, context,
-                        "out-of-arena child index");
-    }
+  // Structural validation so a corrupt arena can never be *traversed*
+  // wrong: feature indices stay inside the input row, and child links
+  // point strictly forward (the BFS re-layout guarantees this), which
+  // also guarantees every walk terminates. It runs on every load: a valid
+  // checksum proves the bytes intact, not that their writer was sane.
+  for (std::int32_t i = 0; i < n_nodes; ++i) {
+    const Node& node = nodes_[static_cast<std::size_t>(i)];
+    if (node.feature < 0) continue;
+    if (static_cast<std::uint64_t>(node.feature) >= n_features_)
+      throw LoadError(LoadErrorCode::kBadStructure, context,
+                      "out-of-range feature index");
+    // `left >= n_nodes - 1` (not `left + 1 >= n_nodes`): a crafted arena
+    // with left == INT32_MAX must be rejected, not signed-overflow UB.
+    if (node.left <= i || node.left >= n_nodes - 1)
+      throw LoadError(LoadErrorCode::kBadStructure, context,
+                      "out-of-arena child index");
   }
   for (const std::int32_t root : roots_) {
     if (root < 0 || root >= n_nodes)
@@ -190,8 +179,7 @@ void FlatForestEngine::validate_geometry(const std::string& context,
 }
 
 std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
-    io::ByteReader& in, std::shared_ptr<const io::ArtifactBuffer> keepalive,
-    bool deep_validate) {
+    io::ByteReader& in, std::shared_ptr<const io::ArtifactBuffer> keepalive) {
   auto flat = std::make_unique<FlatForestEngine>();
   const auto n_features = in.read_pod<std::uint64_t>();
   const auto n_nodes = in.read_pod<std::uint64_t>();
@@ -216,7 +204,7 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
   flat->roots_ = {in.view_span<std::int32_t>(n_roots),
                   static_cast<std::size_t>(n_roots)};
   flat->buffer_ = std::move(keepalive);
-  flat->validate_geometry(in.context(), deep_validate);
+  flat->validate_geometry(in.context());
   flat->derive_stumps();
   flat->select_kernels();
   return flat;

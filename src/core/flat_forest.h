@@ -89,15 +89,12 @@ class FlatForestEngine final : public InferenceEngine {
   /// Reconstruct an engine from a `.hmdf` save_blob() payload, viewing
   /// the arena / entropies / roots *in place* inside `keepalive`'s buffer
   /// (no copies; the engine pins the buffer). Throws LoadError on
-  /// truncation or implausible geometry. `deep_validate=false` skips the
-  /// O(n_nodes) structural walk of the arena (keeping the O(n_trees) root
-  /// checks) — only valid when the caller has already proven the bytes
-  /// intact, i.e. the artifact's section checksums verified
-  /// (model_artifact.h's verify-once-then-trust contract).
+  /// truncation, implausible geometry, or an arena that fails
+  /// validate_geometry's walk — run on every load, after the artifact's
+  /// checksums verified (model_artifact.h's verify-then-walk contract).
   static std::unique_ptr<FlatForestEngine> from_buffer(
       io::ByteReader& in,
-      std::shared_ptr<const io::ArtifactBuffer> keepalive,
-      bool deep_validate = true);
+      std::shared_ptr<const io::ArtifactBuffer> keepalive);
 
   ~FlatForestEngine() override;
 
@@ -173,13 +170,13 @@ class FlatForestEngine final : public InferenceEngine {
   /// training ownership mode).
   void adopt_storage();
 
-  /// Structural validation of a loaded arena: feature indices
-  /// stay inside the input row and child links point strictly forward, so
-  /// a corrupt arena can never be *traversed* wrong (and every walk
-  /// terminates). `deep=false` keeps only the O(1) consistency and
-  /// O(n_trees) root checks (the checksummed-load mode, where intactness
-  /// is already proven). Throws LoadError{kBadStructure} naming `context`.
-  void validate_geometry(const std::string& context, bool deep) const;
+  /// Structural validation of a loaded arena, one O(n_nodes) walk plus
+  /// the O(n_trees) root checks: feature indices stay inside the input
+  /// row and child links point strictly forward, so a corrupt or hostile
+  /// arena can never be *traversed* wrong (and every walk terminates) —
+  /// which is also what makes derive_stumps' child reads in-bounds.
+  /// Throws LoadError{kBadStructure} naming `context`.
+  void validate_geometry(const std::string& context) const;
 
   /// The uniform batch-kernel row signature. `xt` is the tile transposed
   /// at the fixed kTileRows stride (feature c's column starts at

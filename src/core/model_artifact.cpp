@@ -29,8 +29,7 @@ constexpr std::size_t kSectionAlignment = 64;
 const char* const kSectionNames[kSectionCount] = {"config", "scaler",
                                                  "engine"};
 
-/// One section-table entry. A checksummed table (flags bit 0 set) stores
-/// all 24 bytes; a checksum-less one stores only {offset, size}.
+/// One section-table entry, stored raw as 24 bytes.
 struct SectionEntry {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
@@ -39,12 +38,12 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 24,
               "table entries are streamed raw");
 
-/// Byte offset of the header hash in a checksummed artifact: right after
-/// the 24-byte-entry table. The hash covers bytes [0, kHeaderHashOffset).
+/// Byte offset of the header hash: right after the section table. The
+/// hash covers bytes [0, kHeaderHashOffset).
 constexpr std::uint64_t kHeaderHashOffset =
     kSectionTableOffset + kSectionCount * sizeof(SectionEntry);
-/// Total header region of a checksummed artifact (hash included).
-constexpr std::uint64_t kChecksumHeaderBytes = kHeaderHashOffset + 8;
+/// Total header region (hash included).
+constexpr std::uint64_t kHeaderBytes = kHeaderHashOffset + 8;
 
 std::string hex_u64(std::uint64_t value) {
   char buf[2 + 16 + 1];
@@ -77,7 +76,7 @@ HmdConfig read_config(io::ByteReader& in, const std::string& path,
   const auto model_kind = in.read_pod<std::uint32_t>();
   const auto n_members = in.read_pod<std::int32_t>();
   const auto mode = in.read_pod<std::uint32_t>();
-  config.entropy_threshold = in.read_pod<double>();
+  const auto entropy_threshold = in.read_pod<double>();
   config.seed = in.read_pod<std::uint64_t>();
   const auto min_leaf = in.read_pod<std::int32_t>();
   const auto max_depth = in.read_pod<std::int32_t>();
@@ -91,9 +90,14 @@ HmdConfig read_config(io::ByteReader& in, const std::string& path,
   if (n_members < 1)
     throw LoadError(LoadErrorCode::kBadStructure, path,
                     "implausible member count " + std::to_string(n_members));
+  if (!(entropy_threshold >= 0.0))  // NaN included
+    throw LoadError(LoadErrorCode::kBadStructure, path,
+                    "implausible entropy threshold " +
+                        std::to_string(entropy_threshold));
   config.model = static_cast<ModelKind>(model_kind);
   config.n_members = n_members;
   config.mode = static_cast<UncertaintyMode>(mode);
+  config.entropy_threshold = entropy_threshold;
   config.tree_min_samples_leaf = min_leaf;
   config.tree_max_depth = max_depth;
   config.n_threads = n_threads;
@@ -116,30 +120,21 @@ void write_config(io::AlignedWriter& out, const HmdConfig& config,
 /// section table, then 64-byte-aligned config / scaler / engine sections.
 /// Offsets, sizes, and checksums are patched in once known. Section
 /// hashes are computed *in-stream* by the AlignedWriter as the bytes go
-/// out (begin_hash/end_hash around each section), so the checksummed save
-/// never re-reads the temp file — one write pass, one seekp to patch the
+/// out (begin_hash/end_hash around each section), so the save never
+/// re-reads the temp file — one write pass, one seekp to patch the
 /// finished header.
-void write_artifact(std::ostream& out, const UntrustedHmd& hmd,
-                    bool section_checksums) {
+void write_artifact(std::ostream& out, const UntrustedHmd& hmd) {
   const InferenceEngine& engine = hmd.engine();
   io::AlignedWriter writer(out);
   writer.write_span(kMagic, sizeof(kMagic));
   writer.write_pod(kModelFormatVersion);
   writer.write_pod(kSectionCount);
-  writer.write_pod(section_checksums ? kArtifactFlagSectionChecksums
-                                     : std::uint32_t{0});
-  // Placeholder section table (and, when checksummed, header hash),
-  // patched below once offsets are known.
+  writer.write_pod(kArtifactFlagSectionChecksums);
+  // Placeholder section table and header hash, patched below once
+  // offsets are known.
   SectionEntry sections[kSectionCount] = {};
-  if (section_checksums) {
-    writer.write_span(sections, kSectionCount);
-    writer.write_pod(std::uint64_t{0});  // header hash placeholder
-  } else {
-    for (const SectionEntry& entry : sections) {
-      writer.write_pod(entry.offset);
-      writer.write_pod(entry.size);
-    }
-  }
+  writer.write_span(sections, kSectionCount);
+  writer.write_pod(std::uint64_t{0});  // header hash placeholder
 
   // Pad to the section boundary *before* begin_hash so the hash covers
   // exactly [entry.offset, entry.offset + entry.size) — the same bytes
@@ -147,11 +142,11 @@ void write_artifact(std::ostream& out, const UntrustedHmd& hmd,
   const auto begin_section = [&](SectionEntry& entry) {
     writer.pad_to(kSectionAlignment);
     entry.offset = writer.offset();
-    if (section_checksums) writer.begin_hash();
+    writer.begin_hash();
   };
   const auto end_section = [&](SectionEntry& entry) {
     entry.size = writer.offset() - entry.offset;
-    if (section_checksums) entry.checksum = writer.end_hash();
+    entry.checksum = writer.end_hash();
   };
 
   begin_section(sections[0]);
@@ -176,32 +171,21 @@ void write_artifact(std::ostream& out, const UntrustedHmd& hmd,
   engine.save_blob(writer);
   end_section(sections[2]);
 
+  // Assemble the finished 96-byte header in memory so the header hash
+  // can cover the *patched* table, then write table + hash in one go.
+  // Bytes [0, kSectionTableOffset) are identical to what streamed out
+  // above.
+  unsigned char header[kHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  std::memcpy(header + 4, &kModelFormatVersion, 4);
+  std::memcpy(header + 8, &kSectionCount, 4);
+  std::memcpy(header + 12, &kArtifactFlagSectionChecksums, 4);
+  std::memcpy(header + kSectionTableOffset, sections, sizeof(sections));
+  const std::uint64_t header_hash = io::xxhash64(header, kHeaderHashOffset);
+  std::memcpy(header + kHeaderHashOffset, &header_hash, sizeof(header_hash));
   out.seekp(static_cast<std::streamoff>(kSectionTableOffset));
-  if (section_checksums) {
-    // Assemble the finished 96-byte header in memory so the header hash
-    // can cover the *patched* table, then write table + hash in one go.
-    // Bytes [0, kSectionTableOffset) are identical to what streamed out
-    // above, so the file ends up byte-for-byte what the two-pass patcher
-    // used to produce.
-    unsigned char header[kChecksumHeaderBytes];
-    std::memcpy(header, kMagic, sizeof(kMagic));
-    std::memcpy(header + 4, &kModelFormatVersion, 4);
-    std::memcpy(header + 8, &kSectionCount, 4);
-    constexpr std::uint32_t kFlags = kArtifactFlagSectionChecksums;
-    std::memcpy(header + 12, &kFlags, 4);
-    std::memcpy(header + kSectionTableOffset, sections, sizeof(sections));
-    const std::uint64_t header_hash = io::xxhash64(header, kHeaderHashOffset);
-    std::memcpy(header + kHeaderHashOffset, &header_hash,
-                sizeof(header_hash));
-    out.write(reinterpret_cast<const char*>(header + kSectionTableOffset),
-              static_cast<std::streamsize>(kChecksumHeaderBytes -
-                                           kSectionTableOffset));
-  } else {
-    for (const SectionEntry& entry : sections) {
-      out.write(reinterpret_cast<const char*>(&entry.offset), 8);
-      out.write(reinterpret_cast<const char*>(&entry.size), 8);
-    }
-  }
+  out.write(reinterpret_cast<const char*>(header + kSectionTableOffset),
+            static_cast<std::streamsize>(kHeaderBytes - kSectionTableOffset));
 }
 
 /// The one parser of an artifact's fixed header and section table,
@@ -237,12 +221,14 @@ ArtifactInfo parse_header(const io::ArtifactBuffer& buffer,
     throw LoadError(LoadErrorCode::kBadStructure, path,
                     "bad section count " + std::to_string(section_count));
   }
-  if ((flags & ~kArtifactFlagSectionChecksums) != 0) {
+  // Exactly bit 0: a pre-checksum file (flags 0) is as unsupported as a
+  // v1 one, and any other bit was set by a newer writer.
+  if (flags != kArtifactFlagSectionChecksums) {
     throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "unknown header flags " + hex_u64(flags) +
-                        " (written by a newer version?)");
+                    "unsupported header flags " + hex_u64(flags) +
+                        " (expected " +
+                        hex_u64(kArtifactFlagSectionChecksums) + ")");
   }
-  info.section_checksums = (flags & kArtifactFlagSectionChecksums) != 0;
   info.file_bytes = buffer.size();
   info.sections.resize(kSectionCount);
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
@@ -250,19 +236,15 @@ ArtifactInfo parse_header(const io::ArtifactBuffer& buffer,
     section.name = kSectionNames[i];
     section.offset = in.read_pod<std::uint64_t>();
     section.size = in.read_pod<std::uint64_t>();
-    if (info.section_checksums) section.checksum = in.read_pod<std::uint64_t>();
+    section.checksum = in.read_pod<std::uint64_t>();
   }
-  if (info.section_checksums) {
-    const auto stored = in.read_pod<std::uint64_t>();
-    if (verify) {
-      const std::uint64_t actual =
-          io::xxhash64(buffer.data(), kHeaderHashOffset);
-      if (actual != stored) {
-        throw LoadError(LoadErrorCode::kChecksum, path,
-                        "header checksum mismatch (expected " +
-                            hex_u64(stored) + ", got " + hex_u64(actual) +
-                            ")");
-      }
+  const auto stored = in.read_pod<std::uint64_t>();
+  if (verify) {
+    const std::uint64_t actual = io::xxhash64(buffer.data(), kHeaderHashOffset);
+    if (actual != stored) {
+      throw LoadError(LoadErrorCode::kChecksum, path,
+                      "header checksum mismatch (expected " +
+                          hex_u64(stored) + ", got " + hex_u64(actual) + ")");
     }
   }
   for (const ArtifactSectionInfo& section : info.sections) {
@@ -275,7 +257,7 @@ ArtifactInfo parse_header(const io::ArtifactBuffer& buffer,
                           std::to_string(info.file_bytes) + " bytes)");
     }
   }
-  if (verify && info.section_checksums) {
+  if (verify) {
     for (const ArtifactSectionInfo& section : info.sections) {
       const std::uint64_t actual =
           io::xxhash64(buffer.data() + section.offset,
@@ -293,10 +275,9 @@ ArtifactInfo parse_header(const io::ArtifactBuffer& buffer,
 }
 
 /// Parse an artifact in place over `buffer` (mapped or heap-read; the
-/// engines keep views into it either way). Checksummed artifacts are
-/// verified by parse_header *before* any payload parsing, and then parsed
-/// with the deep structural walk skipped (the verify-once-then-trust
-/// contract in model_artifact.h).
+/// engines keep views into it either way). parse_header verifies every
+/// checksum *before* any payload parsing; the payload checks below then
+/// run in full (the verify-then-walk contract in model_artifact.h).
 TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
                           const std::string& path, int n_threads) {
   const ArtifactInfo info = parse_header(*buffer, path, /*verify=*/true);
@@ -330,8 +311,7 @@ TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
   std::unique_ptr<InferenceEngine> engine;
   switch (static_cast<EngineId>(engine_id)) {
     case EngineId::kFlatForest:
-      engine = FlatForestEngine::from_buffer(
-          in, buffer, /*deep_validate=*/!info.section_checksums);
+      engine = FlatForestEngine::from_buffer(in, buffer);
       break;
     case EngineId::kFlatLinear:
       engine = FlatLinearEngine::from_buffer(in, buffer);
@@ -340,6 +320,12 @@ TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
       throw LoadError(LoadErrorCode::kBadStructure, path,
                       "unknown engine id " + std::to_string(engine_id));
   }
+  if (engine->n_members() != static_cast<std::size_t>(config.n_members)) {
+    throw LoadError(LoadErrorCode::kBadStructure, path,
+                    "engine has " + std::to_string(engine->n_members()) +
+                        " members, config says " +
+                        std::to_string(config.n_members));
+  }
 
   return TrustedHmd(std::move(config), std::move(engine), std::move(scaler),
                     converged_fraction);
@@ -347,8 +333,7 @@ TrustedHmd parse_artifact(std::shared_ptr<const io::ArtifactBuffer> buffer,
 
 }  // namespace
 
-void save_model(const UntrustedHmd& hmd, const std::string& path,
-                bool section_checksums) {
+void save_model(const UntrustedHmd& hmd, const std::string& path) {
   // engine() throws on an unfitted detector, before any file is touched.
   static_cast<void>(hmd.engine());
   const std::filesystem::path fs_path(path);
@@ -363,7 +348,7 @@ void save_model(const UntrustedHmd& hmd, const std::string& path,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("save_model: cannot open " + tmp_path);
-    write_artifact(out, hmd, section_checksums);
+    write_artifact(out, hmd);
     // Flush explicitly before the stream check: the destructor's implicit
     // flush swallows errors, and a short tail lost to ENOSPC here would
     // otherwise be fsynced and renamed over the good artifact below.

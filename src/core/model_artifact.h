@@ -2,9 +2,11 @@
 // Versioned on-disk model artifact — the train-once / serve-many split.
 //
 // A `.hmdf` file holds everything a serving process needs and nothing the
-// trainer used. One format is live: version 2, the zero-copy layout. A
-// file whose header names any other version — including the retired v1
-// stream layout — is rejected with LoadError{kBadVersion}, never misread.
+// trainer used. One format is live: version 2, the zero-copy layout, with
+// flags exactly bit 0 (section checksums). A file whose header names any
+// other version — including the retired v1 stream layout — or any other
+// flags word — including the retired pre-checksum layout, flags 0 — is
+// rejected with LoadError{kBadVersion}, never misread.
 //
 // ## Layout
 //
@@ -18,10 +20,7 @@
 //   [ 0.. 4)  magic "HMDF"
 //   [ 4.. 8)  u32 version = 2
 //   [ 8..12)  u32 section_count = 3
-//   [12..16)  u32 flags (bit 0 = kArtifactFlagSectionChecksums)
-//   then the section table, whose entry layout depends on bit 0:
-//
-//   flags bit 0 SET (the default since the fault-tolerance PR):
+//   [12..16)  u32 flags = 1 (kArtifactFlagSectionChecksums, mandatory)
 //   [16..88)  section table: section_count × { u64 offset, u64 size,
 //             u64 xxh64 } — the checksum is XXH64 (common/checksum.h,
 //             seed 0) over the section's exact [offset, offset+size)
@@ -29,11 +28,6 @@
 //   [88..96)  u64 header_xxh64: XXH64 over bytes [0, 88) — magic,
 //             version, counts, flags, and the whole table — so a bit
 //             flip in a stored offset/size/checksum is itself caught.
-//
-//   flags bit 0 CLEAR (pre-checksum files, still loadable and still
-//   writable via save_model's section_checksums=false for migration and
-//   benchmarking):
-//   [16..64)  section table: section_count × { u64 offset, u64 size }
 //
 //   Sections in order: config, scaler, engine. Offsets are 64-byte
 //   aligned and in-bounds; sizes are exact payload bytes (loaders reject
@@ -61,22 +55,25 @@
 //                    | align64 | f64 platt_b[M] | align64 | f64 means[d]
 //                    | align64 | f64 scales[d]
 //
-// ## Integrity and trust (the verify-once-then-trust contract)
+// ## Integrity and structure (the verify-then-walk contract)
 //
-// A checksummed load verifies the header hash, then every section's
-// hash, *before* parsing — one sequential, prefetcher-friendly sweep of
-// the bytes — and then trusts the content: the O(n_nodes) structural
-// validation walk of the forest arena is skipped (only the O(M) root
-// checks remain), so any single bit flip anywhere in any section —
-// including flips the old walk could never see, like a weight double or
-// a leaf probability — is rejected with LoadError{kChecksum}, and cold
-// start stops paying a pointer-chasing walk over every node page.
-// Checksum-less files keep the full structural walk.
+// Every load verifies the header hash, then every section's hash,
+// *before* parsing — one sequential, prefetcher-friendly sweep of the
+// bytes — so any single bit flip anywhere in any section, including
+// flips no structural check could see (a weight double, a leaf
+// probability), is rejected with LoadError{kChecksum}. Then the payload
+// checks run in full: config fields against their domains and against
+// the engine (member count), and the forest arena's O(n_nodes)
+// structural walk (feature indices inside the row, child links strictly
+// forward and inside the arena), so no arena that loads can be traversed
+// out of bounds or forever.
 //
 // Threat model: the checksum is an *integrity* check (bit rot, torn or
 // interrupted writes, flaky storage), not an *authenticity* check — a
-// writer who controls the file can recompute XXH64, exactly as they
-// could simply write a well-formed artifact with hostile weights. Only
+// writer who controls the file can recompute XXH64. Such a checksum-valid
+// but hostile arena or config is still rejected, as
+// LoadError{kBadStructure}, by the walk and config checks above; what
+// they cannot catch is a well-formed artifact with hostile weights. Only
 // load artifacts from writers you already trust to choose your model.
 //
 // load_model opens the file once — a mapping or one full read — and
@@ -126,12 +123,9 @@ enum class LoadMode {
 };
 
 /// Persist a fitted detector (config + scaler + compiled engine) to
-/// `path`. Throws InvalidArgument on an unfitted detector. `section_checksums`
-/// selects the checksummed table (false reproduces the pre-checksum
-/// layout for migration tests and the checksum-vs-walk bench). Writes
-/// are atomic and durable (see header).
-void save_model(const UntrustedHmd& hmd, const std::string& path,
-                bool section_checksums = true);
+/// `path`, checksummed. Throws InvalidArgument on an unfitted detector.
+/// Writes are atomic and durable (see header).
+void save_model(const UntrustedHmd& hmd, const std::string& path);
 
 /// Reconstruct a serving-only detector from an artifact. `n_threads`
 /// sizes the serving thread pool (<= 0 = all cores) — it intentionally
@@ -147,8 +141,8 @@ TrustedHmd load_model(const std::string& path, int n_threads = 0,
 /// tools/hmd_faultgen and the per-section corruption tests: sections are
 /// reported in table order (config, scaler, engine) with their exact
 /// byte ranges, so a test or corruption tool can target "one byte of the
-/// engine section" without hard-coding layout offsets. `checksum` is
-/// meaningful only when `section_checksums` is true.
+/// engine section" without hard-coding layout offsets; `checksum` is the
+/// stored (unverified) table value.
 struct ArtifactSectionInfo {
   std::string name;
   std::uint64_t offset = 0;
@@ -158,13 +152,13 @@ struct ArtifactSectionInfo {
 
 struct ArtifactInfo {
   std::uint32_t version = 0;
-  bool section_checksums = false;
   std::uint64_t file_bytes = 0;
   std::vector<ArtifactSectionInfo> sections;
 };
 
 /// Read an artifact's header + section table with load_model's parser.
-/// Throws LoadError on a missing file, bad magic, unsupported version, or
+/// Throws LoadError on a missing file, bad magic, unsupported version or
+/// flags, or
 /// a table that is truncated/out-of-range — but does NOT verify the
 /// header or section checksums or parse payloads (that is load_model's
 /// job), so it still describes a damaged file.

@@ -92,9 +92,10 @@ struct TreeCompiler {
   bool posterior;
   bool entropy;
   /// Nodes emitted so far across the whole kernel — a defensive bound so
-  /// a pathological arena (possible only under the checksummed
-  /// shallow-validation trust model) fails compilation instead of
-  /// recursing forever.
+  /// a pathological arena fails compilation instead of blowing up. The
+  /// load-time walk proves every link forward and in-arena, not that no
+  /// two parents share a child, and a shared-subtree DAG expands
+  /// exponentially when emitted as a tree.
   std::size_t budget;
   bool ok = true;
 

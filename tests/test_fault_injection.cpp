@@ -1,18 +1,22 @@
 // Fault injection: the artifact checksum defence, the registry's
 // retry / backoff / quarantine state machine, and the failpoint seam
-// itself. The structural theme: any single flipped bit in a checksummed
-// artifact is rejected with LoadError{kChecksum} before any payload
-// parsing, transient failures are retried and healed, persistent ones
-// fail fast, and a registry under sustained failure degrades to its last
-// good snapshot instead of crashing or serving wrong bytes.
+// itself. The structural theme: any single flipped bit in an artifact is
+// rejected with LoadError{kChecksum} before any payload parsing, a
+// hostile artifact with recomputed checksums is rejected with
+// LoadError{kBadStructure} before it can be served, transient failures
+// are retried and healed, persistent ones fail fast, and a registry
+// under sustained failure degrades to its last good snapshot instead of
+// crashing or serving wrong bytes.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +25,11 @@
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
 #include "datasets/io.h"
+#include "jit/jit.h"
 #include "test_support.h"
 
 namespace hmd {
@@ -63,6 +69,24 @@ class FaultInjectionTest : public ::testing::Test {
     f.seekp(static_cast<std::streamoff>(byte));
     value = static_cast<char>(value ^ (1 << bit));
     f.write(&value, 1);
+  }
+
+  template <typename T>
+  T read_pod(std::uint64_t byte) {
+    std::ifstream f(path_, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(byte));
+    T value{};
+    f.read(reinterpret_cast<char*>(&value), sizeof(value));
+    EXPECT_TRUE(f.good()) << "read past end at byte " << byte;
+    return value;
+  }
+
+  template <typename T>
+  void write_pod(std::uint64_t byte, T value) {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(static_cast<std::streamoff>(byte));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
   }
 
   /// A fast policy for tests: millisecond backoffs, no jitter variance
@@ -149,7 +173,6 @@ TEST_F(FaultInjectionTest, InspectReportsVerifiableSectionTable) {
   core::save_model(train(ModelKind::kRandomForest), path_);
   const core::ArtifactInfo info = core::inspect_model(path_);
   EXPECT_EQ(info.version, core::kModelFormatVersion);
-  EXPECT_TRUE(info.section_checksums);
   EXPECT_EQ(info.file_bytes, std::filesystem::file_size(path_));
   ASSERT_EQ(info.sections.size(), 3u);
   EXPECT_EQ(info.sections[0].name, "config");
@@ -170,27 +193,28 @@ TEST_F(FaultInjectionTest, InspectReportsVerifiableSectionTable) {
 }
 
 TEST_F(FaultInjectionTest, InspectHandlesV1AndChecksumlessFiles) {
-  // Rewrite the version to 1 (2 ^ 0b11): inspect_model rejects a v1
-  // header exactly as load_model does — one header parser serves both.
+  // inspect_model rejects a retired header exactly as load_model does —
+  // one header parser serves both — so neither a v1 version word nor a
+  // pre-checksum flags word (bit 0 clear) is ever described or loaded.
+  const auto expect_bad_version = [&](const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
+    try {
+      core::inspect_model(path_);
+      ADD_FAILURE() << "header inspected cleanly";
+    } catch (const LoadError& error) {
+      EXPECT_EQ(error.code(), LoadErrorCode::kBadVersion);
+    }
+  };
   core::save_model(train(ModelKind::kBaggedLogistic), path_);
+  // Rewrite the version to 1 (2 ^ 0b11).
   flip_bit(path_, 4, 0);
   flip_bit(path_, 4, 1);
-  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
-  try {
-    core::inspect_model(path_);
-    ADD_FAILURE() << "v1 header inspected cleanly";
-  } catch (const LoadError& error) {
-    EXPECT_EQ(error.code(), LoadErrorCode::kBadVersion);
-  }
+  expect_bad_version("v1 header");
 
-  core::save_model(train(ModelKind::kBaggedLogistic), path_,
-                   /*section_checksums=*/false);
-  const core::ArtifactInfo legacy = core::inspect_model(path_);
-  EXPECT_FALSE(legacy.section_checksums);
-  ASSERT_EQ(legacy.sections.size(), 3u);
-  for (const auto& section : legacy.sections) {
-    EXPECT_EQ(section.checksum, 0u);
-  }
+  core::save_model(train(ModelKind::kBaggedLogistic), path_);
+  flip_bit(path_, 12, 0);  // flags bit 0: the section-checksum flag
+  expect_bad_version("checksum-less flags");
 }
 
 // ---------------------------------------------------------------------------
@@ -204,8 +228,6 @@ TEST_F(FaultInjectionTest, AnySingleBitFlipInAnySectionIsRejected) {
     SCOPED_TRACE(core::model_kind_name(kind));
     core::save_model(train(kind), path_);
     const core::ArtifactInfo info = core::inspect_model(path_);
-    ASSERT_TRUE(info.section_checksums);
-
     for (const auto& section : info.sections) {
       // First, middle, and last byte of the section; a different bit
       // index per probe so both low and high bits are covered.
@@ -246,9 +268,10 @@ TEST_F(FaultInjectionTest, HeaderAndTableBitFlipsAreRejectedTyped) {
   EXPECT_NO_THROW(core::load_model(path_));
 }
 
-// The checksummed counterparts of ModelArtifactTest's structural
-// rejections: the same corruptions that the legacy deep walk catches as
-// kBadStructure are caught earlier — and cheaper — as kChecksum.
+// The unresealed counterparts of ModelArtifactTest's structural
+// rejections: the same corruptions that the structural checks reject as
+// kBadStructure once resealed are caught earlier — and cheaper — as
+// kChecksum when the checksums are left stale.
 
 TEST_F(FaultInjectionTest, ChecksummedArtifactCatchesStructuralCorruption) {
   core::save_model(train(ModelKind::kRandomForest), path_);
@@ -267,6 +290,83 @@ TEST_F(FaultInjectionTest, ChecksummedArtifactCatchesStructuralCorruption) {
   // A doctored section table entry trips the header hash.
   flip_bit(path_, 16 + 2, 0);  // config offset, low bytes
   EXPECT_EQ(rejection_code(path_), LoadErrorCode::kChecksum);
+}
+
+// A writer who controls the file can recompute every checksum (the
+// threat model in core/model_artifact.h). Each hostile arena or config
+// below is corrupted and then resealed, so only the structural checks
+// stand between it and the traversal: every one must be rejected as
+// kBadStructure under every LoadMode, JIT on and off — never loaded,
+// never walked out of bounds or forever.
+TEST_F(FaultInjectionTest, ResealedCorruptArtifactIsRejected) {
+  using Node = core::FlatForestEngine::Node;
+  core::save_model(train(ModelKind::kRandomForest), path_);
+  const std::string pristine = (dir_ / "pristine.hmdf").string();
+  std::filesystem::copy_file(path_, pristine);
+  const auto restore = [&] {
+    std::filesystem::copy_file(
+        pristine, path_, std::filesystem::copy_options::overwrite_existing);
+  };
+
+  const core::ArtifactInfo info = core::inspect_model(path_);
+  const std::uint64_t config = info.sections[0].offset;
+  const std::uint64_t engine = info.sections[2].offset;
+  // Forest blob after the u32 engine id: u64 n_features | u64 n_nodes |
+  // u64 n_roots, then the node arena on the next 64-byte boundary.
+  const auto n_features = read_pod<std::uint64_t>(engine + 4);
+  const auto n_nodes = read_pod<std::uint64_t>(engine + 12);
+  const std::uint64_t arena = (engine + 4 + 3 * 8 + 63) / 64 * 64;
+  const auto node_at = [&](std::uint64_t i) {
+    return arena + i * sizeof(Node);
+  };
+  std::uint64_t internal = 0;
+  while (internal < n_nodes &&
+         read_pod<std::int32_t>(node_at(internal) + offsetof(Node, feature)) <
+             0) {
+    ++internal;
+  }
+  ASSERT_LT(internal, n_nodes) << "forest has no internal node";
+  const std::uint64_t feature = node_at(internal) + offsetof(Node, feature);
+  const std::uint64_t left = node_at(internal) + offsetof(Node, left);
+  const auto n_members = read_pod<std::int32_t>(config + 4);
+
+  const std::pair<const char*, std::function<void()>> cases[] = {
+      {"feature >= n_features",
+       [&] { write_pod(feature, static_cast<std::int32_t>(n_features)); }},
+      {"child link to its own node",
+       [&] { write_pod(left, static_cast<std::int32_t>(internal)); }},
+      {"left >= n_nodes - 1",
+       [&] { write_pod(left, static_cast<std::int32_t>(n_nodes - 1)); }},
+      {"config n_members + 1",
+       [&] { write_pod(config + 4, n_members + 1); }},
+      {"config entropy_threshold < 0",
+       [&] { write_pod(config + 12, -1.0); }},
+  };
+  // Restores the process-wide JIT policy however the test exits.
+  const struct PolicyGuard {
+    jit::Policy saved = jit::policy();
+    ~PolicyGuard() { jit::set_policy(saved); }
+  } guard;
+  for (const auto& [name, corrupt] : cases) {
+    SCOPED_TRACE(name);
+    restore();
+    corrupt();
+    test::reseal(path_);
+    for (const jit::Policy policy : {jit::Policy::kOn, jit::Policy::kOff}) {
+      SCOPED_TRACE(policy == jit::Policy::kOn ? "jit on" : "jit off");
+      jit::set_policy(policy);
+      for (const auto mode : test::kLoadModes) {
+        EXPECT_EQ(rejection_code(path_, mode), LoadErrorCode::kBadStructure);
+      }
+    }
+  }
+  // The pristine artifact, resealed unchanged, still loads either way.
+  restore();
+  test::reseal(path_);
+  for (const jit::Policy policy : {jit::Policy::kOn, jit::Policy::kOff}) {
+    jit::set_policy(policy);
+    EXPECT_NO_THROW(core::load_model(path_, 1));
+  }
 }
 
 TEST_F(FaultInjectionTest, TruncationBehindValidHeaderIsTyped) {

@@ -55,20 +55,23 @@ class ModelArtifactTest : public ::testing::Test {
     f.write(reinterpret_cast<const char*>(&value), sizeof(value));
   }
 
-  /// File offset of v2 section `index` (0 config, 1 scaler, 2 engine),
-  /// read from the section table at byte 16 — the tests never hard-code
-  /// section positions, only the documented table location. The entry
-  /// stride (16 bytes checksum-less, 24 checksummed) comes from the
-  /// header flags word, never from an assumption about how the file was
-  /// saved.
+  /// Byte offset of section `index`'s table entry (0 config, 1 scaler,
+  /// 2 engine): 24-byte entries {offset, size, xxh64} from byte 16 — the
+  /// tests never hard-code section positions, only the documented table.
+  static std::uintmax_t table_entry(int index) {
+    return 16 + static_cast<std::uintmax_t>(index) * 24;
+  }
+
+  /// File offset of section `index`, read from its table entry.
   std::uint64_t section_offset(int index) {
-    std::ifstream f(path_, std::ios::binary);
-    f.seekg(12);
-    std::uint32_t flags = 0;
-    f.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-    const std::uintmax_t stride =
-        (flags & core::kArtifactFlagSectionChecksums) != 0 ? 24 : 16;
-    return read_u64(16 + static_cast<std::uintmax_t>(index) * stride);
+    return read_u64(table_entry(index));
+  }
+
+  /// Every LoadMode rejects the artifact with `expected`.
+  void expect_rejected(LoadErrorCode expected) {
+    for (const auto mode : test::kLoadModes) {
+      EXPECT_EQ(test::rejection_code(path_, mode), expected);
+    }
   }
 
   core::TrustedHmd train(core::ModelKind kind, int members = 25) {
@@ -161,50 +164,55 @@ TEST_F(ModelArtifactTest, VersionMismatchIsRejectedNotMisread) {
   }
 }
 
-// The three structural-rejection tests below save with
-// section_checksums=false: on a checksummed artifact the same
-// corruptions are caught earlier, as LoadError{kChecksum} (pinned down
-// in test_fault_injection.cpp) — these pin the *legacy* v2 defence,
-// which is all a pre-checksum file has.
+// The three structural-rejection tests below corrupt a saved artifact
+// and then reseal it (test::reseal recomputes every checksum), so the
+// corruption gets past the integrity sweep — unresealed, it would be
+// caught earlier as LoadError{kChecksum}, as test_fault_injection.cpp
+// pins down — and must be rejected by the structural checks alone.
 
 TEST_F(ModelArtifactTest, UnknownEngineTagIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // The engine id is the u32 opening the engine section (table entry 2).
   corrupt_byte(section_offset(2), 0x7e);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  test::reseal(path_);
+  expect_rejected(LoadErrorCode::kBadStructure);
 }
 
 TEST_F(ModelArtifactTest, CorruptForestFeatureWidthIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // The forest blob's u64 feature width follows the engine-id u32.
   // Zeroing its low byte makes the width implausible; the loader must
   // throw rather than hand the traversal an arena it could misindex.
   corrupt_byte(section_offset(2) + 4, 0);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  test::reseal(path_);
+  expect_rejected(LoadErrorCode::kBadStructure);
 }
 
 TEST_F(ModelArtifactTest, MisalignedSectionOffsetIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // Nudge the *config* section's table entry off its 64-byte boundary.
   // The config section is followed by alignment padding, so offset+4 and
   // its size stay comfortably in bounds — only the alignment check can
   // reject it, which is exactly what this test pins down.
   const std::uint64_t config_offset = section_offset(0);
-  write_u64(16 + 0 * 16, config_offset + 4);
-  EXPECT_THROW(core::load_model(path_), IoError);
-  write_u64(16 + 0 * 16, config_offset);  // restore
+  write_u64(table_entry(0), config_offset + 4);
+  test::reseal(path_);
+  expect_rejected(LoadErrorCode::kBadStructure);
+  write_u64(table_entry(0), config_offset);  // restore
+  test::reseal(path_);
+  EXPECT_NO_THROW(core::load_model(path_));
 
-  // An out-of-bounds offset (aligned or not) is equally rejected.
-  write_u64(16 + 2 * 16, std::uint64_t{1} << 40);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  // An out-of-bounds offset (aligned or not) is rejected by the bounds
+  // check. inspect_model rejects this table too, so only the header hash
+  // is resealed: the bytes behind it are untouched.
+  write_u64(table_entry(2), std::uint64_t{1} << 40);
+  test::reseal_header(path_);
+  expect_rejected(LoadErrorCode::kTruncated);
 }
 
 TEST_F(ModelArtifactTest, TruncatedSectionTableIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
-  // Chop the file inside the section table (16 + 3×16 = 64 bytes): the
+  // Chop the file inside the header (16 + 3×24 + 8 = 96 bytes): the
   // header still advertises an artifact, but parsing the table must
   // throw, never read past the mapping.
   for (const std::uintmax_t keep : {60, 40, 17}) {

@@ -2,16 +2,23 @@
 // Shared fixtures: small dataset bundles built once per test binary (the
 // simulators are deterministic, so every suite sees identical data), the
 // per-test scratch directory every file-writing test uses, the typed
-// artifact-rejection probe, and a one-call score() for assertions.
+// artifact-rejection probe, the artifact resealer, and a one-call score()
+// for assertions.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "api/score.h"
+#include "common/checksum.h"
 #include "common/error.h"
 #include "core/model_artifact.h"
 #include "datasets/dvfs_dataset.h"
@@ -71,6 +78,46 @@ inline LoadErrorCode rejection_code(
   }
   ADD_FAILURE() << "corrupt artifact loaded cleanly: " << path;
   return LoadErrorCode::kIo;
+}
+
+/// Recompute the `.hmdf` header hash (bytes [88, 96), XXH64 over [0, 88))
+/// of the file at `path` in place — after a test edits the section table.
+inline void reseal_header(const std::string& path) {
+  constexpr std::size_t kHashOffset = 16 + 3 * 24;
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open()) << path;
+  char header[kHashOffset];
+  f.read(header, kHashOffset);
+  ASSERT_TRUE(f.good()) << path;
+  const std::uint64_t hash = io::xxhash64(header, kHashOffset);
+  f.seekp(kHashOffset);
+  f.write(reinterpret_cast<const char*>(&hash), sizeof(hash));
+}
+
+/// Make a deliberately corrupted artifact checksum-valid again, the way a
+/// hostile writer could: recompute every section's XXH64 over the byte
+/// ranges inspect_model reports, store each in its 24-byte table entry,
+/// then reseal the header. load_model then gets past the checksums and
+/// has to reject the corruption on structure alone.
+inline void reseal(const std::string& path) {
+  const core::ArtifactInfo info = core::inspect_model(path);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  for (std::size_t i = 0; i < info.sections.size(); ++i) {
+    const auto& section = info.sections[i];
+    const std::uint64_t hash =
+        io::xxhash64(bytes.data() + section.offset, section.size);
+    std::memcpy(bytes.data() + 16 + 24 * i + 16, &hash, sizeof(hash));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good()) << path;
+  }
+  reseal_header(path);
 }
 
 /// Scaled-down DVFS bundle (well-separated classes, mostly stump trees).

@@ -125,10 +125,8 @@ Options parse_options(int argc, char** argv, int first) {
 
 int cmd_info(const std::string& path) {
   const core::ArtifactInfo info = core::inspect_model(path);
-  std::printf("%s: v%u, %llu bytes, section checksums %s\n", path.c_str(),
-              info.version,
-              static_cast<unsigned long long>(info.file_bytes),
-              info.section_checksums ? "on" : "off");
+  std::printf("%s: v%u, %llu bytes\n", path.c_str(), info.version,
+              static_cast<unsigned long long>(info.file_bytes));
   for (const auto& section : info.sections) {
     std::printf("  %-8s offset %8llu  size %10llu  xxh64 %016llx\n",
                 section.name.c_str(),
