@@ -113,12 +113,12 @@ DetectorRegistry::DetectorRegistry(int n_threads, core::LoadMode mode,
         return std::make_shared<const core::TrustedHmd>(
             core::load_model(path, threads, mode));
       }),
-      entries_(fleet.shards) {
+      entries_(fleet.shards),
+      residency_(fleet.residency_budget_bytes) {
   if (fleet.filter) {
     filter_ =
         std::make_unique<fleet::DynamicCuckooFilter>(fleet.filter_options);
   }
-  residency_.set_budget_bytes(fleet.residency_budget_bytes);
 }
 
 void DetectorRegistry::add(const std::string& key, const std::string& path) {
@@ -465,10 +465,6 @@ fleet::FleetStats DetectorRegistry::fleet_stats() const {
   }
   out.residency = residency_.stats();
   return out;
-}
-
-void DetectorRegistry::set_residency_budget_bytes(std::size_t bytes) {
-  residency_.set_budget_bytes(bytes);
 }
 
 }  // namespace hmd::api

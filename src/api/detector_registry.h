@@ -294,10 +294,6 @@ class DetectorRegistry {
   /// rejection tally, residency budget/evictions.
   fleet::FleetStats fleet_stats() const;
 
-  /// Adjust the resident-artifact byte budget at runtime (0 = unbounded).
-  /// Shrinking sweeps immediately.
-  void set_residency_budget_bytes(std::size_t bytes);
-
   /// Replace the artifact loader (test seam; defaults to
   /// core::load_model with this registry's LoadMode). Call before
   /// serving starts — it is not synchronised against in-flight loads.

@@ -282,10 +282,6 @@ std::string FlatForestEngine::kernel_backend() const {
   return zero_copy() ? "arena" : "stream-fallback";
 }
 
-double FlatForestEngine::jit_compile_ms() const {
-  return jit_ != nullptr ? jit_->compile_ms() : 0.0;
-}
-
 std::size_t FlatForestEngine::jit_code_bytes() const {
   return jit_ != nullptr ? jit_->code_bytes() : 0;
 }

@@ -122,9 +122,7 @@ class FlatForestEngine final : public InferenceEngine {
   std::size_t n_stumps() const { return n_stumps_; }
   std::size_t n_features() const override { return n_features_; }
 
-  /// Wall-clock cost of the JIT compile at load (0 when interpreted) and
-  /// the sealed code size — bench_latency's jit series reports both.
-  double jit_compile_ms() const;
+  /// Sealed native code size (0 when interpreted).
   std::size_t jit_code_bytes() const;
 
   static constexpr std::size_t kTileRows = 256;

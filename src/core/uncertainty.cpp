@@ -54,6 +54,11 @@ double uncertainty_score(UncertaintyMode mode, const EnsembleStats& stats,
   throw InvalidArgument("uncertainty_score: bad mode");
 }
 
+namespace {
+
+/// Accumulate per-member P(class 1) values (in member order) into ensemble
+/// statistics: the reference vote / posterior / entropy accumulation that
+/// every engine's stats_batch must reproduce bit-for-bit.
 EnsembleStats accumulate_stats(const std::vector<double>& probabilities) {
   EnsembleStats stats;
   for (const double p1 : probabilities) {
@@ -63,6 +68,8 @@ EnsembleStats accumulate_stats(const std::vector<double>& probabilities) {
   }
   return stats;
 }
+
+}  // namespace
 
 UncertaintyEstimator::UncertaintyEstimator(EnsembleView view)
     : view_(view) {

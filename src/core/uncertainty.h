@@ -71,13 +71,6 @@ class VoteEntropyTable {
 double uncertainty_score(UncertaintyMode mode, const EnsembleStats& stats,
                          int n_members, const VoteEntropyTable* lut);
 
-/// Accumulate per-member P(class 1) values (in member order) into ensemble
-/// statistics. This is the single definition of the vote / posterior /
-/// entropy accumulation that the flat engine must reproduce bit-for-bit;
-/// every non-flat path (reference estimator, linear-ensemble fallback)
-/// goes through it.
-EnsembleStats accumulate_stats(const std::vector<double>& probabilities);
-
 /// Non-owning view of a trained ensemble, decoupling the estimator from
 /// how the ensemble is hosted.
 class EnsembleView {

@@ -4,17 +4,6 @@
 
 namespace hmd::fleet {
 
-void ResidencyManager::set_budget_bytes(std::size_t bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  budget_ = bytes;
-  sweep_locked();
-}
-
-std::size_t ResidencyManager::budget_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return budget_;
-}
-
 void ResidencyManager::admit(const std::shared_ptr<Resident>& entry,
                              std::size_t bytes) {
   if (entry == nullptr) return;

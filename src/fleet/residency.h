@@ -73,11 +73,10 @@ class ResidencyManager {
     virtual std::size_t residency_evict() = 0;
   };
 
-  /// Set the byte budget (0 = unbounded) and sweep immediately if the
-  /// resident set is now over it.
-  void set_budget_bytes(std::size_t bytes);
-  std::size_t budget_bytes() const;
-  bool bounded() const { return budget_bytes() != 0; }
+  /// `budget_bytes` is fixed for the manager's lifetime (0 = unbounded,
+  /// no eviction).
+  explicit ResidencyManager(std::size_t budget_bytes)
+      : budget_(budget_bytes) {}
 
   /// Record `entry` as resident holding `bytes` (re-admitting an
   /// already-tracked entry replaces its byte count — a hot-swap reload
@@ -103,8 +102,8 @@ class ResidencyManager {
   /// unleased entries. Caller holds mutex_.
   void sweep_locked();
 
+  const std::size_t budget_;
   mutable std::mutex mutex_;
-  std::size_t budget_ = 0;
   std::size_t resident_bytes_ = 0;
   std::map<const Resident*, Tracked> tracked_;
   std::uint64_t admits_ = 0;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -282,7 +281,6 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
   const auto roots = forest.roots_view();
   if (nodes.empty() || roots.empty() || nodes.size() > kMaxJitNodes)
     return nullptr;
-  const auto t0 = std::chrono::steady_clock::now();
 
   auto program = std::unique_ptr<ForestProgram>(new ForestProgram());
   X64Emitter emitter(program->code_);
@@ -327,10 +325,6 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
     program->kernels_[shape] = reinterpret_cast<ForestProgram::KernelFn>(
         const_cast<void*>(program->code_.entry(entries[shape])));
   }
-  program->compile_ms_ =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
   return program;
 }
 

@@ -110,7 +110,6 @@ class ForestProgram {
                             double* sum_entropy);
 
   KernelFn kernel(unsigned shape) const { return kernels_[shape & 3]; }
-  double compile_ms() const { return compile_ms_; }
   std::size_t code_bytes() const { return code_.size(); }
 
  private:
@@ -119,7 +118,6 @@ class ForestProgram {
 
   CodeBuffer code_;
   KernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
-  double compile_ms_ = 0.0;
 };
 
 /// Compile `forest`'s arena into native kernels. Returns nullptr when

@@ -34,8 +34,8 @@
 // scores do not depend on its batch-mates (asserted across thread widths
 // by the determinism suite), so a response sliced out of a coalesced
 // batch is bit-identical to a direct score() on the request's rows —
-// asserted per mask by tests/test_batcher.cpp and end-to-end by
-// bench_serving.
+// asserted per mask by tests/test_batcher.cpp and end-to-end by the
+// hmd_client --verify legs of tests/serve_socket_smoke.sh.
 //
 // Single-threaded, like the event loop that drives it. Completion sinks
 // run synchronously inside enqueue()/flush_*(); steady state allocates
@@ -60,7 +60,8 @@ namespace hmd::serve {
 struct BatcherOptions {
   /// Flush a queue once it holds this many rows. 256 matches the engines'
   /// internal tile (FlatForestEngine::kTileRows); 1 disables coalescing
-  /// entirely — the batch-1 baseline bench_serving compares against.
+  /// entirely, so every request scores as its own batch (hmd_serve
+  /// --batch-rows=1).
   std::size_t max_batch_rows = 256;
   /// Upper bound on how long a queued request may wait for batch-mates.
   std::int64_t max_delay_us = 200;

@@ -27,7 +27,9 @@
 #   8. Restart legs, each with verified traffic and a SIGTERM exit 0:
 #      --mmap=off (load=stream, no zero-copy engines); --mmap=on with
 #      --jit=on and with --jit=off (load=mmap, kernel jit or arena;
-#      prediction-only and estimate masks).
+#      prediction-only and estimate masks); --batch-rows=1 (no
+#      coalescing: every request scores as its own batch, pipelined
+#      across 4 connections, detection and estimate masks).
 #   9. A bit-flipped artifact (hmd_faultgen) is skipped at startup with a
 #      typed checksum error while its healthy sibling keeps serving; with
 #      every artifact corrupt, the server exits 3 before it listens.
@@ -320,6 +322,21 @@ for jit in on off; do
   verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf" --outputs=prediction
   stop_server "$log"
 done
+
+# Leg 8c: --batch-rows=1 turns coalescing off. Pipelined traffic over 4
+# connections must still verify on both masks, and the batcher summary
+# must show one 4-row request per batch, every flush on the rows cap.
+start_server "$workdir/batch1.log" --models="$models" --batch-rows=1
+grep -q "batch<=1 rows" "$workdir/batch1.log" || {
+  echo "FAIL: --batch-rows=1 not honoured" >&2; exit 1; }
+for outputs in detect estimate; do
+  verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf" --connections=4 --pipeline=2 \
+      --outputs="$outputs"
+done
+stop_server "$workdir/batch1.log"
+grep -Eq "^batcher  .* max 4 rows/batch \(flush: rows-cap [1-9][0-9]*, deadline 0, idle 0\)" \
+    "$workdir/batch1.log" || {
+  echo "FAIL: --batch-rows=1 still coalesced requests" >&2; exit 1; }
 
 # Leg 9a: corrupt the RF artifact (one flipped engine bit). The server
 # must skip it with a typed checksum error and keep serving the LR

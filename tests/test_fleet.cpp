@@ -507,8 +507,16 @@ TEST_F(FleetRegistryTest, LeasePinnedSnapshotSurvivesEviction) {
 
 TEST_F(FleetRegistryTest, QuarantinedEntryIsEvictableAndKeepsCachedError) {
   save_artifact("model", ModelKind::kRandomForest, 3);
-  api::DetectorRegistry registry(1);
+  save_artifact("other", ModelKind::kRandomForest, 3);
+  api::DetectorRegistry unbounded(1);
+  unbounded.add("model", dir_.string() + "/model.hmdf");
+  const std::size_t one = footprint(unbounded, "model");
+
+  fleet::FleetOptions options;
+  options.residency_budget_bytes = one + one / 2;  // exactly one fits
+  api::DetectorRegistry registry(1, core::LoadMode::kAuto, options);
   registry.add("model", dir_.string() + "/model.hmdf");
+  registry.add("other", dir_.string() + "/other.hmdf");
   registry.set_retry_policy(fast_policy(/*max_attempts=*/1,
                                         /*quarantine_after=*/2,
                                         /*quarantine_ms=*/60000));
@@ -526,9 +534,11 @@ TEST_F(FleetRegistryTest, QuarantinedEntryIsEvictableAndKeepsCachedError) {
   ASSERT_EQ(registry.health("model").state, api::HealthState::kQuarantined);
   EXPECT_TRUE(registry.health("model").loaded);  // serving last-good
 
-  // Quarantined entries are NOT pinned: shrinking the budget evicts the
-  // last-good snapshot (nobody leases it) but keeps the health record.
-  registry.set_residency_budget_bytes(1);
+  // Quarantined entries are NOT pinned: loading a second key pushes the
+  // resident set over budget and evicts the last-good snapshot (nobody
+  // leases it) but keeps the health record.
+  fail::disarm_all();
+  ASSERT_NE(registry.get("other"), nullptr);
   const api::ModelHealth evicted = registry.health("model");
   EXPECT_FALSE(evicted.loaded);
   EXPECT_EQ(evicted.evictions, 1u);
@@ -536,8 +546,8 @@ TEST_F(FleetRegistryTest, QuarantinedEntryIsEvictableAndKeepsCachedError) {
   EXPECT_EQ(evicted.last_error_code, LoadErrorCode::kIo);
 
   // With no snapshot left, a get() inside the TTL fails fast on the
-  // *cached* error — no I/O probe (the failpoint hit count stays put).
-  fail::disarm_all();
+  // *cached* error — no I/O probe: the re-armed failpoint never fires.
+  fail::arm("registry.load", spec);
   const int hits_before = fail::hit_count("registry.load");
   try {
     registry.get("model");
