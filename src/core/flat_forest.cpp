@@ -254,12 +254,11 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
   }
 }
 
-template <int kShape>
 void FlatForestEngine::jit_kernel(const FlatForestEngine& self,
                                   const double* xt, std::size_t tile,
                                   double* votes, double* sum_p1,
                                   double* sum_entropy) {
-  self.jit_->kernel(kShape)(xt, tile, votes, sum_p1, sum_entropy);
+  self.jit_->kernel()(xt, tile, votes, sum_p1, sum_entropy);
 }
 
 void FlatForestEngine::select_kernels() {
@@ -271,10 +270,7 @@ void FlatForestEngine::select_kernels() {
   if (!jit::should_compile(*this)) return;
   jit_ = jit::compile_forest(*this);
   if (jit_ == nullptr) return;  // fallback: interpreted rows stay
-  kernels_[0] = &jit_kernel<0>;
-  kernels_[1] = &jit_kernel<1>;
-  kernels_[2] = &jit_kernel<2>;
-  kernels_[3] = &jit_kernel<3>;
+  for (BatchKernelFn& row : kernels_) row = &jit_kernel;
 }
 
 std::string FlatForestEngine::kernel_backend() const {
@@ -302,16 +298,17 @@ void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
       kernels_[(posterior ? 1 : 0) | (entropy ? 2 : 0)];
   const std::size_t cols = x.cols();
   auto run_tiles = [&](std::size_t tile_begin, std::size_t tile_end) {
-    // Per-worker scratch, reused across this worker's tiles: the
-    // transposed tile at the fixed kTileRows stride (feature c's column
-    // at xt + c * kTileRows — a compile-time displacement for the JIT
-    // rows) plus the struct-of-arrays accumulators. Votes accumulate as
-    // 0.0/1.0 doubles (exact for any ensemble size) so every kernel
-    // stays in the FP domain end to end.
-    std::vector<double> xt(cols * kTileRows);
-    std::vector<double> votes(kTileRows);
-    std::vector<double> sum_p1(posterior ? kTileRows : 0);
-    std::vector<double> sum_entropy(entropy ? kTileRows : 0);
+    // Per-thread scratch, kept across calls: the transposed tile at the
+    // fixed kTileRows stride (feature c's column at xt + c * kTileRows — a
+    // compile-time displacement for the JIT rows), then the three
+    // struct-of-arrays accumulators. Only the live `tile` rows of each
+    // are written and read. Votes accumulate as 0.0/1.0 doubles (exact
+    // for any ensemble size) so every kernel stays in the FP domain end
+    // to end.
+    double* xt = thread_scratch((cols + 3) * kTileRows);
+    double* votes = xt + cols * kTileRows;
+    double* sum_p1 = votes + kTileRows;
+    double* sum_entropy = sum_p1 + kTileRows;
     for (std::size_t t = tile_begin; t < tile_end; ++t) {
       const std::size_t row_begin = t * kTileRows;
       const std::size_t row_end = std::min(x.rows(), row_begin + kTileRows);
@@ -320,12 +317,10 @@ void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
         const double* row = x.row_ptr(row_begin + r);
         for (std::size_t c = 0; c < cols; ++c) xt[c * kTileRows + r] = row[c];
       }
-      std::fill_n(votes.begin(), tile, 0.0);
-      if (posterior) std::fill_n(sum_p1.begin(), tile, 0.0);
-      if (entropy) std::fill_n(sum_entropy.begin(), tile, 0.0);
-      kernel(*this, xt.data(), tile, votes.data(),
-             posterior ? sum_p1.data() : nullptr,
-             entropy ? sum_entropy.data() : nullptr);
+      std::fill_n(votes, tile, 0.0);
+      std::fill_n(sum_p1, tile, 0.0);
+      std::fill_n(sum_entropy, tile, 0.0);
+      kernel(*this, xt, tile, votes, sum_p1, sum_entropy);
       EnsembleStats* dst = out.data() + row_begin;
       for (std::size_t r = 0; r < tile; ++r) {
         dst[r].votes1 = static_cast<std::int32_t>(votes[r]);

@@ -52,12 +52,16 @@
 // (select_kernels). The table rows share one uniform signature — a tile
 // transposed at the fixed kTileRows stride, the live row count, and
 // dense vote/posterior/entropy accumulators — so a backend is just a set
-// of four rows: the interpreted arena kernels always exist, and when the
-// tree JIT is available and enabled (src/jit/jit.h) the table instead
-// points at natively compiled kernels that are bit-identical to the
-// interpreter (asserted by the JitParity suite). kernel_backend()
-// reports which rows are installed; everything above stats_batch
-// (score() lowering, the StatsMask contract) is backend-blind.
+// of four rows. The interpreted arena rows always exist, one per shape,
+// since a prediction-only request saves real work in their vectorised
+// stump loop. When the tree JIT is available and enabled (src/jit/jit.h)
+// all four rows instead point at the forest's one native kernel, the
+// full-estimate shape, which is bit-identical to the interpreter
+// (asserted by the JitParity suite). stats_batch always hands a kernel
+// all three accumulators and copies out only the fields the mask asked
+// for. kernel_backend() reports which rows are installed; everything
+// above stats_batch (score() lowering, the StatsMask contract) is
+// backend-blind.
 
 #include <cstdint>
 #include <memory>
@@ -179,10 +183,9 @@ class FlatForestEngine final : public InferenceEngine {
   /// The uniform batch-kernel row signature. `xt` is the tile transposed
   /// at the fixed kTileRows stride (feature c's column starts at
   /// xt + c * kTileRows); `tile` is the live row count (<= kTileRows);
-  /// the accumulators are zeroed by the caller, and a row whose StatsMask
-  /// shape excludes a field receives nullptr for it and must not touch
-  /// it. Rows are plain functions so the table is data, not virtual
-  /// dispatch.
+  /// the accumulators are zeroed by the caller and every pointer is
+  /// valid; a row may fill fields its StatsMask shape does not need. Rows
+  /// are plain functions so the table is data, not virtual dispatch.
   using BatchKernelFn = void (*)(const FlatForestEngine& self,
                                  const double* xt, std::size_t tile,
                                  double* votes, double* sum_p1,
@@ -194,8 +197,8 @@ class FlatForestEngine final : public InferenceEngine {
                            std::size_t tile, double* votes, double* sum_p1,
                            double* sum_entropy);
 
-  /// JIT rows: trampolines into the ForestProgram's native entry points.
-  template <int kShape>
+  /// The JIT row, installed for every shape: a trampoline into the
+  /// ForestProgram's native full-estimate kernel.
   static void jit_kernel(const FlatForestEngine& self, const double* xt,
                          std::size_t tile, double* votes, double* sum_p1,
                          double* sum_entropy);

@@ -176,16 +176,15 @@ void FlatLinearEngine::tile_kernel(const Matrix& x, std::size_t row_begin,
   const bool svm = kind_ == MemberKind::kSvm;
   const double* wt = weights_t_.data();
 
-  std::vector<double> xs(d);
-  std::vector<double> z(m_count);
-  std::vector<double> t(m_count);
-  // Fast-tier scratch: member probabilities and entropies, batched so
-  // the vectorised kernels get contiguous arrays.
-  std::vector<double> p, h;
-  if (fast) {
-    p.resize(m_count);
-    if constexpr (kNeedEntropy) h.resize(m_count);
-  }
+  // Per-thread scratch, kept across calls: the scaled row, the
+  // pre-activations, the link arguments, and the fast tier's member
+  // probabilities and entropies, batched so the vectorised kernels get
+  // contiguous arrays.
+  double* xs = thread_scratch(d + 4 * m_count);
+  double* z = xs + d;
+  double* t = z + m_count;
+  double* p = t + m_count;
+  double* h = p + m_count;
 
   const auto scale_row = [&](std::size_t row, double* dst) {
     const double* src = x.row_ptr(row);
@@ -236,9 +235,9 @@ void FlatLinearEngine::tile_kernel(const Matrix& x, std::size_t row_begin,
     }
     EnsembleStats stats;
     if (fast) {
-      vmath_->sigmoid_array(t.data(), p.data(), m_count);
+      vmath_->sigmoid_array(t, p, m_count);
       if constexpr (kNeedEntropy) {
-        vmath_->binary_entropy_array(p.data(), h.data(), m_count);
+        vmath_->binary_entropy_array(p, h, m_count);
       }
       for (std::size_t m = 0; m < m_count; ++m) {
         stats.votes1 += p[m] > 0.5;
@@ -257,9 +256,9 @@ void FlatLinearEngine::tile_kernel(const Matrix& x, std::size_t row_begin,
   };
 
   for (std::size_t r = row_begin; r < row_end; ++r) {
-    scale_row(r, xs.data());
-    gemv(xs.data());
-    out[r - row_begin] = finish_row(z.data());
+    scale_row(r, xs);
+    gemv(xs);
+    out[r - row_begin] = finish_row(z);
   }
 }
 

@@ -98,4 +98,10 @@ void ThreadPool::parallel_for(
   if (caller_error) std::rethrow_exception(caller_error);
 }
 
+double* thread_scratch(std::size_t doubles) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < doubles) scratch.resize(doubles);
+  return scratch.data();
+}
+
 }  // namespace hmd::core

@@ -60,4 +60,12 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// This thread's batch-kernel scratch: at least `doubles` doubles with
+/// unspecified contents, grown on demand and kept for the thread's
+/// lifetime, so a steady-state batch call allocates nothing. One buffer
+/// per thread, shared by every engine: the pointer is valid until this
+/// thread's next call, so a kernel holding it must not enter another
+/// batch path.
+double* thread_scratch(std::size_t doubles);
+
 }  // namespace hmd::core

@@ -62,15 +62,23 @@ void CodeBuffer::reset() noexcept {
   sealed_ = false;
 }
 
+bool CodeBuffer::reserve(std::size_t bytes) {
+  if (bytes <= capacity_) return ok_;
+  return remap(page_round(bytes));
+}
+
 bool CodeBuffer::grow(std::size_t extra) {
-  assert(!sealed_);
-  if (!ok_ || sealed_) return false;
-  if (size_ + extra <= capacity_) return true;
-#if HMD_JIT_HAVE_MMAP
+  if (size_ + extra <= capacity_) return ok_;
   std::size_t want = capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
   while (want < size_ + extra) want *= 2;
-  want = page_round(want);
-  void* fresh = ::mmap(nullptr, want, PROT_READ | PROT_WRITE,
+  return remap(page_round(want));
+}
+
+bool CodeBuffer::remap(std::size_t capacity) {
+  assert(!sealed_);
+  if (!ok_ || sealed_) return false;
+#if HMD_JIT_HAVE_MMAP
+  void* fresh = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (fresh == MAP_FAILED) {
     ok_ = false;
@@ -79,7 +87,7 @@ bool CodeBuffer::grow(std::size_t extra) {
   if (size_ != 0) std::memcpy(fresh, base_, size_);
   if (base_ != nullptr) ::munmap(base_, capacity_);
   base_ = static_cast<std::uint8_t*>(fresh);
-  capacity_ = want;
+  capacity_ = capacity;
   return true;
 #else
   ok_ = false;

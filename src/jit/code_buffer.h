@@ -9,10 +9,11 @@
 // is a programming error (asserted).
 //
 // Growth remaps: a larger anonymous mapping is created, the emitted bytes
-// are copied, and the old mapping is released. Consumers therefore refer
-// to code positions as *offsets* until protect(), and only then resolve
-// entry points via entry(offset) — the base address is not stable before
-// the seal.
+// are copied, and the old mapping is released. A caller that knows an
+// upper bound on its code size reserve()s it first, so emission never
+// remaps. Consumers refer to code positions as *offsets* until protect(),
+// and only then resolve entry points via entry(offset) — the base address
+// is not stable before the seal.
 //
 // The buffer compiles on any POSIX x86-64 target; on other targets (or
 // under -DHMD_NO_JIT) src/jit/jit.h reports the JIT unavailable and this
@@ -54,6 +55,11 @@ class CodeBuffer {
     size_ += 8;
   }
 
+  /// Map capacity for at least `bytes` before emitting, so emission up to
+  /// that size never remaps. Only valid before protect(); a failed
+  /// mapping poisons the buffer like a failed growth. Returns ok().
+  bool reserve(std::size_t bytes);
+
   /// Overwrite 4 bytes at `offset` (fixup patching). Valid before
   /// protect() only.
   void patch32(std::size_t offset, std::uint32_t v);
@@ -81,6 +87,8 @@ class CodeBuffer {
   void reset() noexcept;
   /// Remap to at least size_ + extra bytes (cold path of the put*()s).
   bool grow(std::size_t extra);
+  /// Move the emitted bytes into a fresh mapping of `capacity` bytes.
+  bool remap(std::size_t capacity);
 
   std::uint8_t* base_ = nullptr;
   std::size_t capacity_ = 0;

@@ -70,26 +70,36 @@ using core::FlatForestEngine;
 using Node = FlatForestEngine::Node;
 
 /// Generator limits. Arenas past the size cap would emit tens of MB of
-/// code per shape — interpret those instead. The displacement cap keeps
+/// code — interpret those instead. The displacement cap keeps
 /// feature-column offsets inside a disp32.
 constexpr std::size_t kMaxJitNodes = std::size_t{1} << 18;
 constexpr std::int64_t kMaxDisp = 0x7FFFFFFF;
+
+/// Worst-case emitted bytes per arena node, from the X64Emitter
+/// encodings. A leaf in a branch chain is three constant accumulates
+/// (movsd const 8 + movsd load 9 + addsd 4 + movsd store 9 = 30 bytes
+/// each) and its 5-byte jmp; an internal node is movsd const 8 +
+/// ucomisd 9 + jb 6. A stump's 18-byte mask and three 54-byte blends fit
+/// inside its three nodes' bounds. Each tree adds its row loop (xor 3,
+/// cmp 3, jae 6, inc 3, jmp 5), and the pool 8 bytes per slot plus its
+/// alignment pad.
+constexpr std::size_t kMaxLeafBytes = 3 * 30 + 5;
+constexpr std::size_t kMaxBranchBytes = 8 + 9 + 6;
+constexpr std::size_t kMaxTreeLoopBytes = 3 + 3 + 6 + 3 + 5;
+constexpr std::size_t kPoolSlotBytes = 8;
 
 struct TreeCompiler {
   X64Emitter& e;
   std::span<const Node> nodes;
   std::span<const double> leaf_entropy;
-  /// Pool slots interned once per forest (not per shape): node_slot[i] is
+  /// Pool slots interned once up front: node_slot[i] is
   /// nodes[i].threshold — the split threshold for internal nodes, the
   /// leaf posterior for leaves; ent_slot[i] is leaf_entropy[i]; one_slot
-  /// is the 1.0 malware-vote increment. Hash-interning each constant four
-  /// times (once per shape) dominated compile time on large forests.
+  /// is the 1.0 malware-vote increment.
   std::span<const std::size_t> node_slot;
   std::span<const std::size_t> ent_slot;
   std::size_t one_slot;
   std::size_t zero_slot;
-  bool posterior;
-  bool entropy;
   /// Nodes emitted so far across the whole kernel — a defensive bound so
   /// a pathological arena fails compilation instead of blowing up. The
   /// load-time walk proves every link forward and in-arena, not that no
@@ -113,12 +123,12 @@ struct TreeCompiler {
   }
 
   /// The three leaf accumulates, in the interpreter's order: vote,
-  /// posterior, entropy. Shapes skip what they don't demand.
+  /// posterior, entropy.
   void emit_leaf_payloads(std::size_t i) {
     const double p1 = nodes[i].threshold;
     emit_accumulate_const(kRdx, p1 > 0.5 ? 1.0 : 0.0, one_slot);
-    if (posterior) emit_accumulate_const(kRcx, p1, node_slot[i]);
-    if (entropy) emit_accumulate_const(kR8, leaf_entropy[i], ent_slot[i]);
+    emit_accumulate_const(kRcx, p1, node_slot[i]);
+    emit_accumulate_const(kR8, leaf_entropy[i], ent_slot[i]);
   }
 
   /// acc[r9] += mask ? lo : hi, where xmm0 holds the (x <= t) mask
@@ -159,9 +169,9 @@ struct TreeCompiler {
   }
 
   /// Branch-free depth<=1 body: one compare-to-mask, then a blend per
-  /// demanded payload. Falls through (no row-epilogue jump needed). The
-  /// mask is only computed when at least one payload actually differs
-  /// between the leaves; degenerate stumps reduce to constant adds.
+  /// payload. Falls through (no row-epilogue jump needed). The mask is
+  /// only computed when at least one payload actually differs between
+  /// the leaves; degenerate stumps reduce to constant adds.
   void emit_stump(std::size_t root_index) {
     const Node& root = nodes[root_index];
     const auto li = static_cast<std::size_t>(root.left);
@@ -172,34 +182,28 @@ struct TreeCompiler {
       double lo, hi;
       std::size_t lo_slot, hi_slot;
     };
-    Payload payloads[3];
-    std::size_t n = 0;
-    payloads[n++] = {kRdx, lo.threshold > 0.5 ? 1.0 : 0.0,
-                     hi.threshold > 0.5 ? 1.0 : 0.0,
-                     lo.threshold > 0.5 ? one_slot : zero_slot,
-                     hi.threshold > 0.5 ? one_slot : zero_slot};
-    if (posterior) {
-      payloads[n++] = {kRcx, lo.threshold, hi.threshold, node_slot[li],
-                       node_slot[li + 1]};
-    }
-    if (entropy) {
-      payloads[n++] = {kR8, leaf_entropy[li], leaf_entropy[li + 1],
-                       ent_slot[li], ent_slot[li + 1]};
-    }
+    const Payload payloads[3] = {
+        {kRdx, lo.threshold > 0.5 ? 1.0 : 0.0, hi.threshold > 0.5 ? 1.0 : 0.0,
+         lo.threshold > 0.5 ? one_slot : zero_slot,
+         hi.threshold > 0.5 ? one_slot : zero_slot},
+        {kRcx, lo.threshold, hi.threshold, node_slot[li], node_slot[li + 1]},
+        {kR8, leaf_entropy[li], leaf_entropy[li + 1], ent_slot[li],
+         ent_slot[li + 1]},
+    };
     bool needs_mask = false;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (const Payload& payload : payloads) {
       std::uint64_t a = 0, b = 0;
-      std::memcpy(&a, &payloads[i].lo, 8);
-      std::memcpy(&b, &payloads[i].hi, 8);
+      std::memcpy(&a, &payload.lo, 8);
+      std::memcpy(&b, &payload.hi, 8);
       needs_mask = needs_mask || a != b;
     }
     if (needs_mask) {
       e.movsd_load_indexed(0, kRdi, feature_disp(root.feature));
       e.cmpsd_const(0, node_slot[root_index], /*imm=LE*/ 2);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      emit_blend_accumulate(payloads[i].base, payloads[i].lo, payloads[i].hi,
-                            payloads[i].lo_slot, payloads[i].hi_slot);
+    for (const Payload& payload : payloads) {
+      emit_blend_accumulate(payload.base, payload.lo, payload.hi,
+                            payload.lo_slot, payload.hi_slot);
     }
   }
 
@@ -238,7 +242,7 @@ struct TreeCompiler {
     emit_subtree(node.left + 1, row_next);
   }
 
-  /// One tree: a row loop over the live tile, body chosen by shape.
+  /// One tree: a row loop over the live tile, body chosen by tree depth.
   void emit_tree(std::int32_t root_index) {
     const Node& root = nodes[static_cast<std::size_t>(root_index)];
     if (root.feature < 0 && root.threshold == 0.0 &&
@@ -283,14 +287,25 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
     return nullptr;
 
   auto program = std::unique_ptr<ForestProgram>(new ForestProgram());
+  // Map the code once at its upper bound so emission never remaps and
+  // copies (see kMaxLeafBytes). An arena whose trees share nodes can
+  // exceed the bound; the buffer then grows as usual.
+  std::size_t code_bound = roots.size() * kMaxTreeLoopBytes + 1 +
+                           kPoolSlotBytes * (nodes.size() * 2 + 3);
+  for (const Node& node : nodes) {
+    code_bound += node.feature < 0 ? kMaxLeafBytes : kMaxBranchBytes;
+  }
+  if (!program->code_.reserve(code_bound)) return nullptr;
   X64Emitter emitter(program->code_);
-  // Upper bounds across all four shapes: <=2 jumps per node (leaf jmp or
-  // branch jb), <=8 const references per node (threshold + three blended
-  // payloads x2), pool <= one distinct slot per node value plus 0/1.
-  emitter.reserve(/*jumps=*/nodes.size() * 8, /*consts=*/nodes.size() * 8,
-                  /*pool=*/nodes.size() + 2);
-  // Intern every constant once up front; the four shape passes then reuse
-  // the slot ids without touching the dedup hash again.
+  // Fixup bounds: one jump per node (leaf jmp or branch jb) plus two per
+  // row loop; <= 3 const references per node (a leaf's three payloads,
+  // a stump's threshold and three blended pairs over its three nodes);
+  // pool <= one distinct slot per node value and entropy plus 0/1.
+  emitter.reserve(/*jumps=*/nodes.size() + 2 * roots.size(),
+                  /*consts=*/nodes.size() * 3,
+                  /*pool=*/nodes.size() * 2 + 2);
+  // Intern every constant once up front, so emission reuses the slot ids
+  // without touching the dedup hash again.
   const auto leaf_entropy = forest.leaf_entropy_view();
   const std::size_t one_slot = emitter.pool_const(1.0);
   const std::size_t zero_slot = emitter.pool_const(0.0);
@@ -300,31 +315,19 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
     node_slot[i] = emitter.pool_const(nodes[i].threshold);
     ent_slot[i] = emitter.pool_const(leaf_entropy[i]);
   }
-  std::size_t entries[4] = {};
-  for (unsigned shape = 0; shape < 4; ++shape) {
-    entries[shape] = emitter.offset();
-    TreeCompiler compiler{emitter,
-                          nodes,
-                          leaf_entropy,
-                          node_slot,
-                          ent_slot,
-                          one_slot,
-                          zero_slot,
-                          /*posterior=*/(shape & 1) != 0,
-                          /*entropy=*/(shape & 2) != 0,
-                          /*budget=*/nodes.size() + 1};
-    for (const std::int32_t root : roots) {
-      compiler.emit_tree(root);
-      if (!compiler.ok) return nullptr;
-    }
-    emitter.ret();
+  const std::size_t entry = emitter.offset();
+  TreeCompiler compiler{emitter,   nodes,     leaf_entropy, node_slot,
+                        ent_slot,  one_slot,  zero_slot,
+                        /*budget=*/nodes.size() + 1};
+  for (const std::int32_t root : roots) {
+    compiler.emit_tree(root);
+    if (!compiler.ok) return nullptr;
   }
+  emitter.ret();
   if (!emitter.finish()) return nullptr;
   if (!program->code_.protect()) return nullptr;
-  for (unsigned shape = 0; shape < 4; ++shape) {
-    program->kernels_[shape] = reinterpret_cast<ForestProgram::KernelFn>(
-        const_cast<void*>(program->code_.entry(entries[shape])));
-  }
+  program->kernel_ = reinterpret_cast<ForestProgram::KernelFn>(
+      const_cast<void*>(program->code_.entry(entry)));
   return program;
 }
 

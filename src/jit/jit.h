@@ -1,18 +1,17 @@
 #pragma once
-// Tree-to-native JIT: compile a loaded FlatForestEngine's arena into
-// straight-line x86-64 batch kernels with thresholds, leaf posteriors,
-// entropies and votes baked in as immediates.
+// Tree-to-native JIT: compile a loaded FlatForestEngine's arena into a
+// straight-line x86-64 batch kernel with thresholds, leaf posteriors,
+// entropies and votes baked in as constants.
 //
-// A compiled ForestProgram holds four entry points — one per StatsMask
-// shape (posterior and/or entropy demanded; votes always) — sharing one
-// sealed CodeBuffer. Each kernel has the engine's uniform batch-kernel
-// signature: a column-major tile transposed at the fixed
+// A compiled ForestProgram holds one entry point in a sealed CodeBuffer:
+// the full-estimate kernel, which accumulates votes, leaf posteriors and
+// leaf entropies — every field the online uncertainty estimate reads.
+// Every StatsMask shape runs through it; the engine copies out only the
+// fields a request asked for. The kernel has the engine's uniform
+// batch-kernel signature: a column-major tile transposed at the fixed
 // FlatForestEngine::kTileRows stride (so every feature column lives at a
 // compile-time displacement), the live row count, and the three
-// accumulator arrays. Masked-out accumulators are never touched by the
-// corresponding shape's code — the generated kernel for a
-// prediction-only request contains no posterior or entropy instructions
-// at all.
+// accumulator arrays, all of which it writes.
 //
 // Codegen strategy (mirrors the interpreter so results stay
 // bit-identical — asserted by the JitParity test suite):
@@ -98,18 +97,17 @@ void set_policy(Policy p);
 /// better than scalar native code can).
 bool should_compile(const core::FlatForestEngine& forest);
 
-/// Native batch kernels for one forest. Index a kernel by StatsMask
-/// shape: (posterior ? 1 : 0) | (entropy ? 2 : 0).
+/// The native batch kernel for one forest.
 class ForestProgram {
  public:
   /// xt is the tile transposed at the fixed kTileRows stride; votes /
-  /// sum_p1 / sum_entropy are dense accumulators of `tile` doubles. A
-  /// shape that does not demand a field never dereferences its pointer.
+  /// sum_p1 / sum_entropy are dense accumulators of `tile` doubles, all
+  /// valid and all accumulated into.
   using KernelFn = void (*)(const double* xt, std::size_t tile,
                             double* votes, double* sum_p1,
                             double* sum_entropy);
 
-  KernelFn kernel(unsigned shape) const { return kernels_[shape & 3]; }
+  KernelFn kernel() const { return kernel_; }
   std::size_t code_bytes() const { return code_.size(); }
 
  private:
@@ -117,13 +115,14 @@ class ForestProgram {
       const core::FlatForestEngine& forest);
 
   CodeBuffer code_;
-  KernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
+  KernelFn kernel_ = nullptr;
 };
 
-/// Compile `forest`'s arena into native kernels. Returns nullptr when
+/// Compile `forest`'s arena into its native kernel. Returns nullptr when
 /// the JIT is unavailable, the forest exceeds the generator's limits, or
 /// emission fails for any reason — the caller keeps the interpreted
-/// kernels. Does NOT consult enabled(): policy belongs to the caller.
+/// kernels. Does NOT consult should_compile(): policy belongs to the
+/// caller.
 std::unique_ptr<ForestProgram> compile_forest(
     const core::FlatForestEngine& forest);
 
