@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "core/flat_forest.h"
 
 namespace hmd::api {
 
@@ -78,11 +79,16 @@ std::chrono::milliseconds backoff_delay(const RetryPolicy& policy,
 }
 
 /// The residency ledger's idea of a detector's footprint: the engine's
-/// arena (which for an mmap load *is* the mapped artifact payload). Floor
-/// of 1 so even an exotic zero-reporting engine stays visible to the
-/// eviction accounting.
+/// arena (which for an mmap load *is* the mapped artifact payload) plus a
+/// forest's native code, which eviction frees with it. Floor of 1 so even
+/// an exotic zero-reporting engine stays visible to the eviction
+/// accounting.
 std::size_t resident_footprint(const core::TrustedHmd& detector) {
-  return std::max<std::size_t>(1, detector.engine().memory_bytes());
+  const core::InferenceEngine& engine = detector.engine();
+  std::size_t bytes = engine.memory_bytes();
+  if (engine.engine_id() == core::EngineId::kFlatForest)
+    bytes += detector.flat_forest().jit_code_bytes();
+  return std::max<std::size_t>(1, bytes);
 }
 
 }  // namespace

@@ -147,6 +147,32 @@ namespace {
 constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 26;
 constexpr std::uint64_t kMaxFeatures = std::uint64_t{1} << 24;
 
+/// Rows a general-tree walk moves through the arena together.
+constexpr std::size_t kWalkLanes = 8;
+
+/// One lockstep step of the general-tree walk: every lane at an internal
+/// node descends (`left + !(x <= t)`, so NaN goes right), every lane at a
+/// leaf stays put. Returns whether any lane was at an internal node, so
+/// a false return means every lane sat at its leaf before the step.
+inline bool step_lanes(const FlatForestEngine::Node* nodes, const double* xt,
+                       const std::size_t (&row)[kWalkLanes],
+                       std::int32_t (&idx)[kWalkLanes]) {
+  bool any = false;
+  for (std::size_t l = 0; l < kWalkLanes; ++l) {
+    const FlatForestEngine::Node node = nodes[idx[l]];
+    const bool internal = node.feature >= 0;
+    const auto feature =
+        static_cast<std::size_t>(internal ? node.feature : 0);
+    const std::int32_t next =
+        node.left +
+        !(xt[feature * FlatForestEngine::kTileRows + row[l]] <=
+          node.threshold);
+    idx[l] = internal ? next : idx[l];
+    any |= internal;
+  }
+  return any;
+}
+
 }  // namespace
 
 void FlatForestEngine::validate_geometry(const std::string& context) const {
@@ -236,20 +262,33 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
       }
       continue;
     }
+    // General trees: kWalkLanes rows descend in lockstep, so their
+    // dependent arena loads overlap instead of queueing behind one row's
+    // chain. A step is branch-free for every lane; a lane already at a
+    // leaf keeps its index by a select and reads column 0 (the leaf's
+    // feature is -1). A partial group pads its idle lanes with its last
+    // live row and never accumulates them.
     const std::int32_t root = self.roots_[m];
-    for (std::size_t r = 0; r < tile; ++r) {
-      std::int32_t i = root;
-      Node node = nodes[i];
-      while (node.feature >= 0) {
-        i = node.left +
-            !(xt[static_cast<std::size_t>(node.feature) * kTileRows + r] <=
-              node.threshold);
-        node = nodes[i];
+    for (std::size_t r0 = 0; r0 < tile; r0 += kWalkLanes) {
+      const std::size_t live = std::min(kWalkLanes, tile - r0);
+      std::size_t row[kWalkLanes];
+      std::int32_t idx[kWalkLanes];
+      for (std::size_t l = 0; l < kWalkLanes; ++l) {
+        row[l] = r0 + std::min(l, live - 1);
+        idx[l] = root;
       }
-      const double p1 = node.threshold;
-      votes[r] += p1 > 0.5 ? 1.0 : 0.0;
-      if constexpr (kNeedPosterior) sum_p1[r] += p1;
-      if constexpr (kNeedEntropy) sum_entropy[r] += entropy[i];
+      bool internal = true;
+      while (internal) {
+        step_lanes(nodes, xt, row, idx);
+        internal = step_lanes(nodes, xt, row, idx);
+      }
+      for (std::size_t l = 0; l < live; ++l) {
+        const std::size_t r = r0 + l;
+        const double p1 = nodes[idx[l]].threshold;
+        votes[r] += p1 > 0.5 ? 1.0 : 0.0;
+        if constexpr (kNeedPosterior) sum_p1[r] += p1;
+        if constexpr (kNeedEntropy) sum_entropy[r] += entropy[idx[l]];
+      }
     }
   }
 }

@@ -24,7 +24,16 @@
 // well-separated data, where most members are decision stumps) are
 // compiled into a dedicated stump table evaluated as a branchless select —
 // one compare + two blends per row that the compiler vectorises across
-// rows. Lanes are rows, trees still run in ascending member order, so
+// rows. Deeper trees are walked eight rows at a time in lockstep (the
+// interleaved walk): each step moves every lane one level with the
+// branch-free step above, a lane already at its leaf keeps its index by
+// a select, and one "any lane still internal?" test runs every two
+// steps. Eight independent load chains overlap in flight, where a per-row
+// walk waits out each dependent arena load in turn, and no data-dependent
+// branch is left for the predictor to miss. A partial group (any row
+// count not a multiple of eight) pads its idle lanes with its last live
+// row and skips their accumulate, so every tile takes this one path.
+// Lanes are rows, trees still run in ascending member order, so
 // per-sample accumulation order is untouched and results stay bit-
 // identical to the reference path.
 // Tiles are distributed over a thread pool; each tile writes a disjoint
@@ -54,8 +63,9 @@
 // dense vote/posterior/entropy accumulators — so a backend is just a set
 // of four rows. The interpreted arena rows always exist, one per shape,
 // since a prediction-only request saves real work in their vectorised
-// stump loop. When the tree JIT is available and enabled (src/jit/jit.h)
-// all four rows instead point at the forest's one native kernel, the
+// stump loop; they serve every forest under the default policy. When the
+// tree JIT is available and forced on (src/jit/jit.h, Policy::kOn) all
+// four rows instead point at the forest's one native kernel, the
 // full-estimate shape, which is bit-identical to the interpreter
 // (asserted by the JitParity suite). stats_batch always hands a kernel
 // all three accumulators and copies out only the fields the mask asked
@@ -126,7 +136,9 @@ class FlatForestEngine final : public InferenceEngine {
   std::size_t n_stumps() const { return n_stumps_; }
   std::size_t n_features() const override { return n_features_; }
 
-  /// Sealed native code size (0 when interpreted).
+  /// Sealed native code size (0 when interpreted). Not part of
+  /// memory_bytes(), which stays the arena; the registry's residency
+  /// ledger charges both.
   std::size_t jit_code_bytes() const;
 
   static constexpr std::size_t kTileRows = 256;

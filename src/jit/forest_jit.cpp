@@ -40,26 +40,12 @@ void set_policy(Policy p) {
   policy_flag().store(p, std::memory_order_relaxed);
 }
 
-bool should_compile(const core::FlatForestEngine& forest) {
-  if (!available()) return false;
-  switch (policy()) {
-    case Policy::kOff:
-      return false;
-    case Policy::kOn:
-      return true;
-    case Policy::kAuto:
-      break;
-  }
-  // Profitability: per row, a stump costs the interpreter ~1 vectorised
-  // compare+blend step, while a deep tree costs one dependent arena load
-  // per level — the case native compare/branch chains win (measured
-  // 1.4-1.7x). Compile only when deep-tree node work dwarfs the stump
-  // count; a stump-table forest stays on the interpreter's SIMD loop.
-  const std::size_t stump_trees = forest.n_stumps();
-  const std::size_t stump_nodes = stump_trees * 3;  // upper bound
-  const std::size_t deep_nodes =
-      forest.n_nodes() > stump_nodes ? forest.n_nodes() - stump_nodes : 0;
-  return deep_nodes >= 64 * stump_trees;
+bool should_compile(const core::FlatForestEngine& /*forest*/) {
+  // Only an explicit kOn compiles. Under kAuto the interpreter's
+  // interleaved walk serves deep forests as fast as native compare/branch
+  // chains do on distinct rows, so a compile would only add its cost to
+  // every cold load and re-publish.
+  return available() && policy() == Policy::kOn;
 }
 
 #if HMD_JIT_SUPPORTED

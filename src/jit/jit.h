@@ -33,15 +33,18 @@
 //                 backend out entirely (available() is then false and
 //                 compile_forest() returns nullptr).
 //   run-time      a three-state Policy (HMD_JIT env var / the serving
-//                 tools' --jit flag / set_policy()): kOff never
-//                 compiles, kOn always does, and the default kAuto
-//                 compiles only forests the generator predicts it can
-//                 beat the interpreter on — traversal-dominated (deep)
-//                 forests. Stump-dominated ensembles stay interpreted:
-//                 the compiler auto-vectorises the interpreter's stump
-//                 loop across rows (4-wide under AVX), which scalar
-//                 straight-line code cannot outrun, so compiling those
-//                 would be a regression, not an optimisation.
+//                 tools' --jit flag / set_policy()): kOn compiles every
+//                 eligible forest; kOff and the default kAuto compile
+//                 none. The interpreter walks deep trees eight rows at a
+//                 time (core/flat_forest.h), overlapping their dependent
+//                 arena loads, and on distinct rows that matches the
+//                 native compare/branch chains, whose every split is a
+//                 data-dependent branch the predictor cannot learn. Its
+//                 stump loop vectorises across rows, which scalar
+//                 straight-line code cannot outrun either. So under kAuto
+//                 a compile would only add its cost to every cold load,
+//                 reload and re-publish; kOn keeps the backend for
+//                 forcing and for the JitParity suite.
 //                 compile_forest() also declines absurd inputs (feature
 //                 displacement overflow, oversized arenas) so callers
 //                 fall back to the interpreted arena with zero behavior
@@ -77,8 +80,8 @@ bool available();
 
 /// When to compile a loaded forest to native code.
 enum class Policy {
-  kAuto,  ///< compile when predicted profitable (deep forests) — default
-  kOn,    ///< compile every eligible forest (bench/parity forcing)
+  kAuto,  ///< interpret every forest — default
+  kOn,    ///< compile every eligible forest (forcing, parity checks)
   kOff,   ///< never compile; interpreted arena everywhere
 };
 
@@ -90,11 +93,8 @@ enum class Policy {
 Policy policy();
 void set_policy(Policy p);
 
-/// Should this forest be compiled under the current policy? False
-/// whenever !available(). Under kAuto this is the profitability
-/// heuristic: compile only when per-row work is dominated by deep-tree
-/// traversal (the interpreter already vectorises stump-table forests
-/// better than scalar native code can).
+/// Should this forest be compiled under the current policy? True only
+/// under kOn on a target where available(); kAuto and kOff interpret.
 bool should_compile(const core::FlatForestEngine& forest);
 
 /// The native batch kernel for one forest.

@@ -116,8 +116,8 @@ grep -q "serving  2 model(s)" "$workdir/server.log" || {
   echo "FAIL: expected 2 models from the registry" >&2; exit 1; }
 
 # Every load line must name the kernel backend the engine selected
-# (arena for these mmap-loaded stump-scale bundles under the default
-# --jit=auto policy; jit where the profitability heuristic takes it;
+# (arena for these mmap-loaded bundles under the default --jit=auto
+# policy, which never compiles; jit only under --jit=on;
 # stream-fallback when zero-copy is unavailable).
 for key in dvfs_RF_M5 dvfs_LR_M5; do
   grep -Eq "^model    $key +.*, kernel (jit|arena|stream-fallback)," \

@@ -165,8 +165,8 @@ void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
   const core::TrustedHmd arena = load_with_policy(path, jit::Policy::kOff);
   EXPECT_EQ(arena.engine().kernel_backend(), "arena");
   if (jit::available()) {
-    // Forced on, every forest compiles (stump-dominated ones included —
-    // exactly the codegen paths kAuto would skip).
+    // Forced on, every forest compiles, stump-dominated ones included
+    // (kAuto compiles none).
     EXPECT_EQ(jitted.engine().kernel_backend(), "jit");
     EXPECT_GT(jitted.flat_forest().jit_code_bytes(), 0u);
   }
@@ -218,35 +218,86 @@ TEST(JitParity, HpcAllEnsembleSizesAllMasks) {
   }
 }
 
+/// Random labels force deep, irregular trees (no stump specialisation).
+constexpr std::size_t kRandomCols = 12;
+
+ml::Dataset random_label_train(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> feature(-4.0, 4.0);
+  ml::Dataset train;
+  const std::size_t n = 240;
+  train.X = Matrix(n, kRandomCols);
+  train.y.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < kRandomCols; ++c) train.X(r, c) = feature(rng);
+    train.y[r] = static_cast<int>(rng() & 1);
+  }
+  return train;
+}
+
+/// `rows` random inputs with a couple of features NaN-poisoned on every
+/// third row.
+Matrix nan_poisoned_rows(std::mt19937_64& rng, std::size_t rows) {
+  std::uniform_real_distribution<double> feature(-4.0, 4.0);
+  Matrix x(rows, kRandomCols);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < kRandomCols; ++c) x(r, c) = feature(rng);
+    if (r % 3 == 0) {
+      x(r, r % kRandomCols) = std::numeric_limits<double>::quiet_NaN();
+      x(r, (r + 5) % kRandomCols) = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return x;
+}
+
 TEST(JitParity, RandomisedDeepTreesWithNaNInputs) {
-  // Random labels force deep, irregular trees (no stump specialisation),
-  // and NaN-poisoned inputs pin the compare encodings: cmpsd(LE) and
+  // NaN-poisoned inputs pin the compare encodings: cmpsd(LE) and
   // ucomisd/jb must both send NaN right, exactly like the interpreter's
   // !(x <= t).
   std::mt19937_64 rng(20210721);
-  std::uniform_real_distribution<double> feature(-4.0, 4.0);
-  ml::Dataset train;
-  const std::size_t n = 240, cols = 12;
-  train.X = Matrix(n, cols);
-  train.y.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) train.X(r, c) = feature(rng);
-    train.y[r] = static_cast<int>(rng() & 1);
-  }
-  core::HmdConfig config = config_for(20);
-  core::TrustedHmd hmd(config);
-  hmd.fit(train);
+  core::TrustedHmd hmd(config_for(20));
+  hmd.fit(random_label_train(rng));
   EXPECT_LT(hmd.flat_forest().n_stumps(), hmd.flat_forest().n_trees());
+  expect_jit_parity(hmd, nan_poisoned_rows(rng, 64), "random_deep_nan");
+}
 
-  Matrix x(64, cols);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < cols; ++c) x(r, c) = feature(rng);
-    if (r % 3 == 0) {  // poison a couple of features per third row
-      x(r, r % cols) = std::numeric_limits<double>::quiet_NaN();
-      x(r, (r + 5) % cols) = std::numeric_limits<double>::quiet_NaN();
+TEST(FlatForestParity, InterleavedWalkEveryRaggedTail) {
+  // The arena walks general trees eight rows at a time; a partial group
+  // pads its idle lanes and skips their accumulate. Every group shape —
+  // a lone row, each tail length, exact and ragged tiles, several tiles
+  // split over a pool — must match the member-by-member reference bit
+  // for bit, NaN inputs included.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);
+  std::mt19937_64 rng(20210721);
+  const ml::Dataset train = random_label_train(rng);
+  const Matrix all = nan_poisoned_rows(rng, 513);
+  std::vector<std::size_t> counts = {255, 256, 257, 513};
+  for (std::size_t n = 1; n <= 17; ++n) counts.push_back(n);
+  for (const int threads : {1, 3}) {
+    core::TrustedHmd hmd(config_for(20, threads));
+    hmd.fit(train);
+    ASSERT_LT(hmd.flat_forest().n_stumps(), hmd.flat_forest().n_trees());
+    ASSERT_NE(hmd.engine().kernel_backend(), "jit");
+    const core::UncertaintyEstimator reference(
+        core::EnsembleView::of(hmd.ensemble()));
+    for (const std::size_t n : counts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " rows=" + std::to_string(n));
+      Matrix x(n, kRandomCols);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < kRandomCols; ++c) x(r, c) = all(r, c);
+      }
+      const api::ScoreResult result =
+          test::score(hmd, x, api::kEstimateOutputs);
+      ASSERT_EQ(result.stats.size(), n);
+      for (std::size_t r = 0; r < n; ++r) {
+        const core::EnsembleStats ref = reference.reference_stats(x.row(r));
+        ASSERT_EQ(result.stats[r].votes1, ref.votes1) << "row " << r;
+        ASSERT_EQ(result.stats[r].sum_p1, ref.sum_p1) << "row " << r;
+        ASSERT_EQ(result.stats[r].sum_entropy, ref.sum_entropy) << "row " << r;
+      }
     }
   }
-  expect_jit_parity(hmd, x, "random_deep_nan");
 }
 
 TEST(FlatForestParity, EveryModelKindReportsAFlatEngineTruthfully) {

@@ -19,10 +19,12 @@
 
 #include "api/detector_registry.h"
 #include "common/failpoint.h"
+#include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
 #include "fleet/cuckoo_filter.h"
 #include "fleet/sharded_map.h"
+#include "jit/jit.h"
 #include "test_support.h"
 
 namespace hmd {
@@ -477,6 +479,55 @@ TEST_F(FleetRegistryTest, ResidencyBudgetEvictsColdestAndReloadsBitIdentical) {
   EXPECT_TRUE(api::bit_identical(test::score(*registry.get("m0"), x),
                                  test::score(*unbounded.get("m0"), x)));
   EXPECT_EQ(registry.health("m0").loads_ok, 2u);  // initial + post-evict
+}
+
+TEST_F(FleetRegistryTest, ResidencyLedgerChargesNativeCode) {
+  // Under a forced JIT each deep forest carries native code next to its
+  // arena, and eviction frees both, so the ledger must charge both: a
+  // budget with room for two arenas and a quarter of their code holds
+  // only one compiled forest (JitCodeSize keeps code <= 2x the arena, so
+  // one forest with its code always fits).
+  struct PolicyGuard {
+    jit::Policy saved = jit::policy();
+    ~PolicyGuard() { jit::set_policy(saved); }
+  } guard;
+  jit::set_policy(jit::Policy::kOn);
+  for (int i = 0; i < 2; ++i) {
+    core::HmdConfig config;
+    config.model = ModelKind::kRandomForest;
+    config.n_members = 20;
+    config.n_threads = 1;
+    config.seed = 30 + static_cast<std::uint64_t>(i);
+    core::TrustedHmd hmd(config);
+    hmd.fit(test::small_hpc().train);  // overlapping classes: deep trees
+    core::save_model(hmd, (dir_ / nth_key("d", i)).string() + ".hmdf");
+  }
+  api::DetectorRegistry unbounded(1);
+  ASSERT_EQ(unbounded.add_directory(dir_.string()), 2u);
+  std::size_t arenas = 0;
+  std::size_t code = 0;
+  for (int i = 0; i < 2; ++i) {
+    arenas += footprint(unbounded, nth_key("d", i));
+    code += unbounded.get(nth_key("d", i))->flat_forest().jit_code_bytes();
+  }
+  EXPECT_EQ(unbounded.fleet_stats().residency.resident_bytes, arenas + code);
+
+  fleet::FleetOptions options;
+  options.residency_budget_bytes = arenas + code / 4;
+  api::DetectorRegistry registry(1, core::LoadMode::kAuto, options);
+  ASSERT_EQ(registry.add_directory(dir_.string()), 2u);
+  (void)registry.get(nth_key("d", 0));
+  (void)registry.get(nth_key("d", 1));
+
+  const fleet::ResidencyStats stats = registry.fleet_stats().residency;
+  EXPECT_LE(stats.resident_bytes, options.residency_budget_bytes);
+  if (jit::available()) {
+    ASSERT_GT(code, 0u);
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_FALSE(registry.health(nth_key("d", 0)).loaded);
+  } else {
+    EXPECT_EQ(stats.evictions, 0u);  // no code: the two arenas fit
+  }
 }
 
 TEST_F(FleetRegistryTest, LeasePinnedSnapshotSurvivesEviction) {

@@ -1,8 +1,8 @@
 // Unit and integration tests for the tree-to-native JIT backend
 // (src/jit/): the executable CodeBuffer's W^X life cycle, the x86-64
 // emitter's label/constant-pool fixups (asserted by executing a
-// hand-emitted kernel), the three-state compile policy and its
-// profitability heuristic, fallback-to-arena behaviour, the native code
+// hand-emitted kernel), the three-state compile policy (auto interprets
+// every forest), fallback-to-arena behaviour, the native code
 // size against the arena, and — for the TSan job — concurrent first-get()
 // compiles through the registry.
 //
@@ -163,7 +163,10 @@ TEST(JitPolicy, SetAndQueryRoundTrips) {
   }
 }
 
-TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
+TEST(JitPolicy, AutoInterpretsEveryForest) {
+  // kAuto never compiles: the interleaved arena walk serves deep forests
+  // without a compile on every cold load, and the vectorised stump loop
+  // already serves stump forests.
   const PolicyGuard guard;
   jit::set_policy(jit::Policy::kAuto);
   core::TrustedHmd stumpy(rf_config(100));
@@ -171,16 +174,15 @@ TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
   core::TrustedHmd deep(rf_config(100));
   deep.fit(test::small_hpc().train);  // overlapping classes: deep trees
   EXPECT_FALSE(jit::should_compile(stumpy.flat_forest()));
-  if (jit::available()) {
-    EXPECT_TRUE(jit::should_compile(deep.flat_forest()));
-    EXPECT_EQ(deep.engine().kernel_backend(), "jit");
-  }
-  // Off/on override the heuristic in both directions (on only where the
-  // backend exists at all).
+  EXPECT_FALSE(jit::should_compile(deep.flat_forest()));
+  EXPECT_EQ(deep.engine().kernel_backend(), "stream-fallback");
+  EXPECT_EQ(deep.flat_forest().jit_code_bytes(), 0u);
+  // Off/on still override (on only where the backend exists at all).
   jit::set_policy(jit::Policy::kOff);
   EXPECT_FALSE(jit::should_compile(deep.flat_forest()));
   jit::set_policy(jit::Policy::kOn);
   EXPECT_EQ(jit::should_compile(stumpy.flat_forest()), jit::available());
+  EXPECT_EQ(jit::should_compile(deep.flat_forest()), jit::available());
 }
 
 TEST(JitPolicy, OffPinsTheInterpretedArena) {

@@ -46,10 +46,11 @@
 // unknown-model lookups without touching a shard lock.
 //
 // Kernel knobs: --jit=on|off|auto sets the tree-to-native policy for every
-// engine loaded (jit/jit.h). --simd=auto|scalar|avx2|avx512 caps the
-// runtime ISA dispatch for the vectorised kernels (simd/cpu.h; the flag
-// beats the HMD_SIMD env var, and neither can raise the level above what
-// CPUID detected).
+// engine loaded (jit/jit.h): on compiles every forest, off and the default
+// auto serve every forest from the interpreted arena.
+// --simd=auto|scalar|avx2|avx512 caps the runtime ISA dispatch for the
+// vectorised kernels (simd/cpu.h; the flag beats the HMD_SIMD env var,
+// and neither can raise the level above what CPUID detected).
 //
 // usage: hmd_serve --listen=HOST:PORT [--models=DIR] [model.hmdf ...]
 //                  [--threads=N] [--refresh-ms=N] [--batch-rows=N]
@@ -151,8 +152,8 @@ ServeArgs parse_args(int argc, char** argv) {
     }
     if (cli.match_toggle("--jit", toggle)) {
       // Process-wide policy for every engine loaded after this point:
-      // bare --jit / --jit=on forces native compilation, off pins the
-      // interpreted arena, auto restores the profitability heuristic.
+      // bare --jit / --jit=on forces native compilation; off and auto (the
+      // default) serve every forest from the interpreted arena.
       if (toggle.empty() || toggle == "on") {
         jit::set_policy(jit::Policy::kOn);
       } else if (toggle == "off") {
